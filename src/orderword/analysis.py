@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .series import (
+    _ORDERINGS,
     MuCache,
     Ordering,
-    TruncationPolicy,
-    _compare_letter_sequences,
-    magnus_compare_words,
+    _check_cap,
+    _check_precedence,
+    _compare_letters,
 )
 from .words import (
     Letter,
@@ -23,15 +24,11 @@ from .words import (
     Occurrence,
     Rotation,
     Word,
-    identity,
     is_periodic,
     occurrences,
     rotation_set,
     uniquely_positioned,
 )
-
-_ORDERING_SIGN = {Ordering.GREATER: 1, Ordering.EQUAL: 0, Ordering.LESS: -1}
-
 
 class PeriodicWordError(ValueError):
     """The word is a proper power, so the decomposition is not defined."""
@@ -49,19 +46,40 @@ class InvariantViolationError(RuntimeError):
     """A structural fact the decomposition relies on failed to hold."""
 
 
-class Comparator:
-    """Contract for a total strict order on words of one rank.
+class MagnusOrder:
+    """The series-induced bi-order, with per-instance caching.
 
-    Implementations supply :meth:`compare`; everything else derives from it.
-    Instances must be safe to share across worker processes after pickling or
-    reconstruction (all state here is a cache, never a result).
+    ``precedence`` permutes which variable dominates the monomial enumeration;
+    the default (1, 2, ..., rank) puts X1 first, so generator 1 is the
+    largest single letter. Distinct precedences are distinct bi-orders.
+    ``cap`` limits the deciding degree; by default it is the proved syllable
+    bound, so no comparison of distinct words can run out of degrees.
     """
 
-    rank: int
-    description: str = "order"
+    def __init__(
+        self,
+        rank: int = 2,
+        precedence: tuple[int, ...] | None = None,
+        cap: int | None = None,
+    ) -> None:
+        if rank < 1:
+            raise ValueError("rank must be positive")
+        self.rank = rank
+        self.precedence = None if precedence is None else _check_precedence(precedence, rank)
+        _check_cap(cap)
+        self.cap = cap
+        self._cache = MuCache()
+        self._signs: dict[tuple[Letter, ...], int] = {}
+
+    @property
+    def description(self) -> str:
+        order = self.precedence or tuple(range(1, self.rank + 1))
+        return "magnus(" + ">".join(f"x{g}" for g in order) + ")"
 
     def compare(self, v: Word, w: Word) -> Ordering:
-        raise NotImplementedError
+        if v.rank != w.rank:
+            raise ValueError("cannot compare words of different ranks")
+        return _ORDERINGS[self._compare_letters(v.letters, w.letters)]
 
     def greater(self, v: Word, w: Word) -> bool:
         return self.compare(v, w) is Ordering.GREATER
@@ -71,78 +89,19 @@ class Comparator:
 
     def sign(self, w: Word) -> int:
         """+1, 0 or -1 as w compares to the identity."""
-        return _ORDERING_SIGN[self.compare(w, identity(self.rank))]
-
-    def _sign_letters(self, letters: tuple[Letter, ...]) -> int:
-        # Internal fast path used by the span scans; semantics match sign().
-        return self.sign(Word(letters, self.rank))
-
-    def max_word(self, words) -> Word:
-        best = None
-        for w in words:
-            if best is None or self.greater(w, best):
-                best = w
-        if best is None:
-            raise ValueError("max_word of an empty collection")
-        return best
-
-    def min_word(self, words) -> Word:
-        best = None
-        for w in words:
-            if best is None or self.less(w, best):
-                best = w
-        if best is None:
-            raise ValueError("min_word of an empty collection")
-        return best
-
-
-class MagnusOrder(Comparator):
-    """The series-induced bi-order, with per-instance caching.
-
-    ``precedence`` permutes which variable dominates the monomial enumeration;
-    the default (1, 2, ..., rank) puts X1 first, so generator 1 is the
-    largest single letter. Distinct precedences are distinct bi-orders.
-    """
-
-    def __init__(
-        self,
-        rank: int = 2,
-        precedence: tuple[int, ...] | None = None,
-        policy: TruncationPolicy | None = None,
-    ) -> None:
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        self.rank = rank
-        self.precedence = tuple(precedence) if precedence is not None else None
-        if self.precedence is not None and sorted(self.precedence) != list(range(1, rank + 1)):
-            raise ValueError(f"precedence {precedence} is not a permutation of 1..{rank}")
-        self.policy = policy or TruncationPolicy()
-        self._cache = MuCache()
-        self._sign_memo: dict[tuple[Letter, ...], int] = {}
-
-    @property
-    def description(self) -> str:
-        order = self.precedence or tuple(range(1, self.rank + 1))
-        return "magnus(" + ">".join(f"x{g}" for g in order) + ")"
-
-    def compare(self, v: Word, w: Word) -> Ordering:
-        return magnus_compare_words(v, w, self.policy, self.precedence, self._cache)
-
-    def sign(self, w: Word) -> int:
         return self._sign_letters(w.letters)
 
+    def _compare_letters(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
+        return _compare_letters(
+            lv, lw, self.rank, self.cap, self.precedence, self._cache, self._signs
+        )
+
     def _sign_letters(self, letters: tuple[Letter, ...]) -> int:
-        memo = self._sign_memo
-        cached = memo.get(letters)
-        if cached is None:
-            outcome = _compare_letter_sequences(
-                letters, (), self.rank, self.policy, self.precedence, self._cache
-            )
-            cached = memo[letters] = _ORDERING_SIGN[outcome]
-        return cached
+        sign = self._signs.get(letters)
+        return self._compare_letters(letters, ()) if sign is None else sign
 
 
-def is_ascent(u: Word, cmp: Comparator) -> bool:
+def is_ascent(u: Word, cmp: MagnusOrder) -> bool:
     """True iff u is nonempty and every nonempty prefix and suffix exceeds 1."""
     letters = u.letters
     n = len(letters)
@@ -153,7 +112,7 @@ def is_ascent(u: Word, cmp: Comparator) -> bool:
     )
 
 
-def is_descent(u: Word, cmp: Comparator) -> bool:
+def is_descent(u: Word, cmp: MagnusOrder) -> bool:
     """True iff u is nonempty and every nonempty prefix and suffix is below 1."""
     letters = u.letters
     n = len(letters)
@@ -189,35 +148,22 @@ class PrefixProfile:
         return len(self.host) == 0
 
 
-def prefix_profile(w: Word, cmp: Comparator) -> PrefixProfile:
+def prefix_profile(w: Word, cmp: MagnusOrder) -> PrefixProfile:
     """Scan all prefixes of w and record where the order peak and low fall."""
     letters = w.letters
+    sign = cmp._sign_letters
     peak_index = low_index = 0
-    peak = low = ()
     for i in range(1, len(letters) + 1):
-        prefix = letters[:i]
-        if (
-            _compare_letter_sequences_via(cmp, prefix, peak)
-            is Ordering.GREATER
-        ):
-            peak, peak_index = prefix, i
-        if _compare_letter_sequences_via(cmp, prefix, low) is Ordering.LESS:
-            low, low_index = prefix, i
+        # Prefix i against an earlier prefix j is the sign of letters[j:i].
+        if sign(letters[peak_index:i]) > 0:
+            peak_index = i
+        if sign(letters[low_index:i]) < 0:
+            low_index = i
     return PrefixProfile(host=w, peak_index=peak_index, low_index=low_index)
 
 
-def _compare_letter_sequences_via(
-    cmp: Comparator, lv: tuple[Letter, ...], lw: tuple[Letter, ...]
-) -> Ordering:
-    if isinstance(cmp, MagnusOrder):
-        return _compare_letter_sequences(
-            lv, lw, cmp.rank, cmp.policy, cmp.precedence, cmp._cache
-        )
-    return cmp.compare(Word(lv, cmp.rank), Word(lw, cmp.rank))
-
-
 def ascent_descent_spans(
-    w: Word, cmp: Comparator
+    w: Word, cmp: MagnusOrder
 ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
     """Index spans [i, j) of all ascent and all descent subwords of w."""
     letters = w.letters
@@ -270,7 +216,7 @@ def _locate(ascent_letters: tuple[Letter, ...], elements: tuple[Rotation, ...], 
     raise AscentPlacementError("maximal ascent vanished from its own rotation set")
 
 
-def maximal_ascent(w: Word, cmp: Comparator, algorithm: str = "peaklow") -> MaximalAscent:
+def maximal_ascent(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> MaximalAscent:
     """The unique order-largest ascent over all subwords of the rotation set of w.
 
     ``algorithm="bruteforce"`` classifies every subword of every rotation;
@@ -298,7 +244,7 @@ def maximal_ascent(w: Word, cmp: Comparator, algorithm: str = "peaklow") -> Maxi
         raise AscentPlacementError(f"no ascent found among subwords of {w!r}")
     best = None
     for candidate in candidates:
-        if best is None or _compare_letter_sequences_via(cmp, candidate, best) is Ordering.GREATER:
+        if best is None or cmp._compare_letters(candidate, best) > 0:
             best = candidate
     return _locate(best, elements, w.rank)
 
@@ -320,7 +266,7 @@ class Decomposition:
         return len(self.descent) == 0
 
 
-def decompose(w: Word, cmp: Comparator, algorithm: str = "peaklow") -> Decomposition:
+def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decomposition:
     """Split a rotation of w (or of w^-1) as maximal ascent times descent.
 
     Requires a cyclically reduced, nonperiodic word of length > 1. The chosen

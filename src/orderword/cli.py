@@ -4,27 +4,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
-from .analysis import MagnusOrder, decompose
-from .series import TruncationPolicy, mu, series_text
+from .analysis import AscentPlacementError, InvariantViolationError, MagnusOrder, decompose
+from .series import UndecidedAtCapError, mu, series_text
 from .verify import check_word, run_campaign, weinbaum_factorizations
-from .words import Word, parse_word, uniquely_positioned
+from .words import parse_word, uniquely_positioned
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Options shared by every subcommand."""
-
-    rank: int
-    precedence: tuple[int, ...] | None
-    cap: int | None
-    workers: int = 1
-    out_path: str | None = None
-
-    def order(self) -> MagnusOrder:
-        policy = TruncationPolicy(cap=self.cap) if self.cap is not None else TruncationPolicy()
-        return MagnusOrder(self.rank, precedence=self.precedence, policy=policy)
+# Largest number of monomials, sum of rank**d over d <= degree, that
+# ``series --degree`` may expand: degree 18 at rank 2, 12 at rank 3.
+MAX_SERIES_TERMS = 1_000_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +24,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reverse the variable precedence of the order",
     )
     shared.add_argument(
-        "--cap", type=int, default=None, help="override the truncation degree cap"
+        "--cap",
+        type=int,
+        default=None,
+        help="limit the deciding degree (default: the proved syllable bound)",
     )
 
     parser = argparse.ArgumentParser(
@@ -76,66 +67,65 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    if args.rank < 1:
-        raise ValueError("rank must be positive")
-    precedence = tuple(range(args.rank, 0, -1)) if args.swap_order else None
-    return CliConfig(
-        rank=args.rank,
-        precedence=precedence,
-        cap=args.cap,
-        workers=getattr(args, "workers", 1),
-        out_path=getattr(args, "out", None),
-    )
+def _precedence(args: argparse.Namespace) -> tuple[int, ...] | None:
+    return tuple(range(args.rank, 0, -1)) if args.swap_order else None
 
 
-def _show(w: Word) -> str:
-    return str(w)
+def _order(args: argparse.Namespace) -> MagnusOrder:
+    return MagnusOrder(args.rank, precedence=_precedence(args), cap=args.cap)
+
+
+def _check_series_size(rank: int, degree: int) -> None:
+    """Reject a degree whose series could hold more than MAX_SERIES_TERMS monomials."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    terms, power = 0, 1
+    for _ in range(degree + 1):
+        terms += power
+        if terms > MAX_SERIES_TERMS:
+            raise ValueError(
+                f"degree {degree} at rank {rank} allows more than "
+                f"{MAX_SERIES_TERMS:,} monomials"
+            )
+        power *= rank
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    config = _config(args)
-    word = parse_word(args.word, config.rank)
-    if args.degree < 0:
-        raise ValueError("degree must be nonnegative")
-    print(series_text(mu(word, args.degree), config.precedence))
+    precedence = _precedence(args)
+    word = parse_word(args.word, args.rank)
+    _check_series_size(args.rank, args.degree)
+    print(series_text(mu(word, args.degree), precedence))
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _config(args)
-    order = config.order()
-    verdict = order.compare(
-        parse_word(args.first, config.rank), parse_word(args.second, config.rank)
-    )
+    order = _order(args)
+    verdict = order.compare(parse_word(args.first, args.rank), parse_word(args.second, args.rank))
     symbol = {"greater": ">", "less": "<", "equal": "="}[verdict.value]
     print(f"{args.first} {symbol} {args.second}")
     return 0
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    config = _config(args)
-    word = parse_word(args.word, config.rank)
-    dec = decompose(word, config.order())
+    word = parse_word(args.word, args.rank)
+    dec = decompose(word, _order(args))
     ascent_unique = "yes" if uniquely_positioned(dec.ascent, word) else "no"
     if dec.descent_unique is None:
         descent_unique = "n/a"
     else:
         descent_unique = "yes" if dec.descent_unique else "no"
     print(
-        f"W' = {_show(dec.chosen)} ({dec.origin}), "
-        f"A = {_show(dec.ascent)}, D = {_show(dec.descent)}, "
+        f"W' = {dec.chosen} ({dec.origin}), A = {dec.ascent}, D = {dec.descent}, "
         f"A unique: {ascent_unique}, D unique: {descent_unique}"
     )
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _config(args)
-    word = parse_word(args.word, config.rank)
-    report = check_word(word, config.order(), check_monotonic=config.precedence is None)
+    word = parse_word(args.word, args.rank)
+    report = check_word(word, _order(args), check_monotonic=not args.swap_order)
     dec = report.decomposition_summary
-    print(f"word: {_show(word)}")
+    print(f"word: {word}")
     if dec is not None:
         print(f"W' = {dec['chosen']} ({dec['origin']}), A = {dec['ascent']}, D = {dec['descent']}")
     print(f"A uniquely positioned: {_yesno(report.ascent_uniquely_positioned)}")
@@ -157,26 +147,23 @@ def _yesno(value: bool | None) -> str:
 
 
 def cmd_weinbaum(args: argparse.Namespace) -> int:
-    config = _config(args)
-    word = parse_word(args.word, config.rank)
-    pairs = weinbaum_factorizations(word)
+    pairs = weinbaum_factorizations(parse_word(args.word, args.rank))
     for head, tail in pairs:
-        print(f"{_show(head)} | {_show(tail)}")
+        print(f"{head} | {tail}")
     print(f"count={len(pairs)}")
     return 0 if pairs else 3
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    config = _config(args)
     report = run_campaign(
-        rank=config.rank,
+        rank=args.rank,
         min_length=args.min_len,
         max_length=args.max_len,
-        precedence=config.precedence,
-        workers=config.workers,
-        out_path=config.out_path,
+        precedence=_precedence(args),
+        workers=args.workers,
+        out_path=args.out,
         dedup=args.dedup,
-        cap=config.cap,
+        cap=args.cap,
     )
     print(
         f"checked={report.words_checked} anomalies={report.anomaly_count} "
@@ -199,11 +186,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.rank < 1:
+            raise ValueError("rank must be positive")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (UndecidedAtCapError, AscentPlacementError, InvariantViolationError) as exc:
         print(f"anomaly: {exc}", file=sys.stderr)
         return 3
 

@@ -209,35 +209,6 @@ def series_text(s: TruncatedSeries, precedence: tuple[int, ...] | None = None) -
     return f"{rendered} + O({s.degree_bound + 1})"
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """How far to escalate degree bounds when a comparison stays undecided.
-
-    Bounds start at ``start`` and multiply by ``growth`` up to a cap; the
-    default cap for a pair of words is max(8, 2 * combined length). Bounds
-    much above ~20 are impractical: the series grow as 2^bound monomials.
-    """
-
-    start: int = 2
-    growth: int = 2
-    cap: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.start < 1 or self.growth < 2:
-            raise ValueError("policy needs start >= 1 and growth >= 2")
-        if self.cap is not None and self.cap < 1:
-            raise ValueError("cap must be positive")
-
-    def bounds_for(self, combined_length: int):
-        cap = self.cap if self.cap is not None else max(8, 2 * combined_length)
-        bound = min(self.start, cap)
-        while True:
-            yield bound
-            if bound >= cap:
-                return
-            bound = min(bound * self.growth, cap)
-
-
 class MuCache:
     """Per-order memo of word images, grown one letter at a time.
 
@@ -279,50 +250,112 @@ class MuCache:
         return series
 
 
-def _compare_letter_sequences(
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be positive")
+
+
+def _syllable_count(letters: tuple[Letter, ...]) -> int:
+    """Number of maximal runs of one generator in a letter sequence."""
+    generators = [letter.generator for letter in letters]
+    return sum(1 for a, b in zip([None] + generators, generators) if a != b)
+
+
+def _ladder(
     lv: tuple[Letter, ...],
     lw: tuple[Letter, ...],
     rank: int,
-    policy: TruncationPolicy,
+    cap: int | None,
     precedence: tuple[int, ...] | None,
-    cache: MuCache | None,
-) -> Ordering:
-    if lv == lw:
-        return Ordering.EQUAL
-    for bound in policy.bounds_for(len(lv) + len(lw)):
-        if cache is not None:
-            sv = cache.mu_of(lv, rank, bound)
-            sw = cache.mu_of(lw, rank, bound)
-        else:
-            sv = mu(Word(lv, rank), bound)
-            sw = mu(Word(lw, rank), bound)
-        outcome = compare_series(sv, sw, precedence)
-        if outcome is SeriesOrderOutcome.GREATER:
-            return Ordering.GREATER
-        if outcome is SeriesOrderOutcome.LESS:
-            return Ordering.LESS
-    raise UndecidedAtCapError(
-        f"distinct words compared equal up to the cap "
-        f"(lengths {len(lv)} and {len(lw)}); raise the truncation cap"
-    )
+    cache: MuCache,
+) -> int:
+    """+1 or -1 as the image of lv is above or below that of lw.
+
+    The two letter sequences must differ and must not start with the same
+    letter, so that lw^-1 * lv is reduced as written.
+
+    The cached images are compared at bounds 2, 4, 8, ... up to the cap. The
+    default cap is the syllable count of lw^-1 * lv: if that reduced word is
+    x_i1^e1 ... x_ik^ek with adjacent generators distinct, its image has the
+    coefficient e1*...*ek != 0 at X_i1...X_ik (Magnus 1935), so the images of
+    lv and lw differ at degree k or below and only an explicit cap can run out.
+    """
+    bound = 2 if cap is None else min(2, cap)
+    while True:
+        outcome = compare_series(
+            cache.mu_of(lv, rank, bound), cache.mu_of(lw, rank, bound), precedence
+        )
+        if outcome is not SeriesOrderOutcome.EQUAL_UP_TO_BOUND:
+            return 1 if outcome is SeriesOrderOutcome.GREATER else -1
+        if cap is None:
+            # Reversing lw keeps its generator sequence aligned with lw^-1, and
+            # the junction with lv cannot cancel since the first letters differ.
+            cap = _syllable_count(lw[::-1] + lv)
+        if bound >= cap:
+            raise UndecidedAtCapError(
+                f"distinct words compared equal up to the cap of degree {cap} "
+                f"(lengths {len(lv)} and {len(lw)} without common ends); raise the cap"
+            )
+        bound = min(2 * bound, cap)
+
+
+def _compare_letters(
+    lv: tuple[Letter, ...],
+    lw: tuple[Letter, ...],
+    rank: int,
+    cap: int | None,
+    precedence: tuple[int, ...] | None,
+    cache: MuCache,
+    signs: dict[tuple[Letter, ...], int],
+) -> int:
+    """The one comparison path: +1, 0 or -1 as lv is above, equal to or below lw.
+
+    The order is invariant under multiplication on both sides, so the common
+    prefix and suffix cancel first. A lone remaining side is a subword whose
+    sign against the identity is memoised in ``signs``; two remaining sides go
+    up the bound ladder.
+    """
+    n = min(len(lv), len(lw))
+    head = 0
+    while head < n and lv[head] == lw[head]:
+        head += 1
+    tail = 0
+    while tail < n - head and lv[-1 - tail] == lw[-1 - tail]:
+        tail += 1
+    lv, lw = lv[head : len(lv) - tail], lw[head : len(lw) - tail]
+    if lv and lw:
+        return _ladder(lv, lw, rank, cap, precedence, cache)
+    u = lv or lw
+    if not u:
+        return 0
+    sign = signs.get(u)
+    if sign is None:
+        sign = signs[u] = _ladder(u, (), rank, cap, precedence, cache)
+    return sign if lv else -sign
+
+
+# Indexed by a sign: [1] is GREATER, [0] EQUAL and [-1] LESS.
+_ORDERINGS = (Ordering.EQUAL, Ordering.GREATER, Ordering.LESS)
 
 
 def magnus_compare_words(
     v: Word,
     w: Word,
-    policy: TruncationPolicy | None = None,
+    cap: int | None = None,
     precedence: tuple[int, ...] | None = None,
     cache: MuCache | None = None,
 ) -> Ordering:
-    """Order two words by their series images, escalating the bound per policy.
+    """Order two words by the first differing coefficient of their series images.
 
-    Returns EQUAL only for identical reduced words; for distinct words the
-    first differing coefficient decides, and exhausting the cap without a
-    difference raises :class:`UndecidedAtCapError`.
+    Returns EQUAL only for identical reduced words. An explicit ``cap`` below
+    the degree that separates two distinct words raises
+    :class:`UndecidedAtCapError`; the default cap never does. Without a
+    ``cache`` the images are built in a fresh :class:`MuCache`.
     """
     if v.rank != w.rank:
         raise ValueError("cannot compare words of different ranks")
     _check_precedence(precedence, v.rank)
-    return _compare_letter_sequences(
-        v.letters, w.letters, v.rank, policy or TruncationPolicy(), precedence, cache
-    )
+    _check_cap(cap)
+    if cache is None:
+        cache = MuCache()
+    return _ORDERINGS[_compare_letters(v.letters, w.letters, v.rank, cap, precedence, cache, {})]

@@ -19,7 +19,6 @@ from typing import Iterator
 
 from .analysis import (
     AscentPlacementError,
-    Comparator,
     InvariantViolationError,
     LengthOneError,
     MagnusOrder,
@@ -29,7 +28,7 @@ from .analysis import (
     is_descent,
     prefix_profile,
 )
-from .series import TruncationPolicy
+from .series import UndecidedAtCapError
 from .words import (
     Letter,
     NotCyclicallyReducedError,
@@ -205,29 +204,33 @@ def weinbaum_factorizations(w: Word) -> tuple[tuple[Word, Word], ...]:
     return tuple(out)
 
 
-def check_word(w: Word, cmp: Comparator, check_monotonic: bool = True) -> WordReport:
+def _unaudited(w: Word, anomaly: Anomaly) -> WordReport:
+    """Report on a word whose decomposition could not be audited."""
+    return WordReport(
+        word=w,
+        decomposition_summary=None,
+        ascent_uniquely_positioned=None,
+        descent_status=None,
+        monotonic=is_monotonic(w),
+        weinbaum_count=len(weinbaum_factorizations(w)),
+        anomalies=[anomaly],
+    )
+
+
+def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordReport:
     """Decompose one word and audit every claim; violations become anomalies.
 
     Precondition violations (empty, length one, periodic, not cyclically
     reduced) raise; everything the decomposition asserts about a valid word is
     verified here and reported, never raised.
     """
-    anomalies: list[Anomaly] = []
-    monotonic = is_monotonic(w)
     try:
         dec = decompose(w, cmp)
     except (AscentPlacementError, InvariantViolationError) as exc:
-        anomalies.append(Anomaly("decomposition_failed", str(exc)))
-        return WordReport(
-            word=w,
-            decomposition_summary=None,
-            ascent_uniquely_positioned=None,
-            descent_status=None,
-            monotonic=monotonic,
-            weinbaum_count=len(weinbaum_factorizations(w)),
-            anomalies=anomalies,
-        )
+        return _unaudited(w, Anomaly("decomposition_failed", str(exc)))
 
+    anomalies: list[Anomaly] = []
+    monotonic = is_monotonic(w)
     elements = rotation_set(w).elements
     ascent = dec.ascent
     descent = dec.descent
@@ -413,11 +416,14 @@ def _summary(report: WordReport) -> tuple:
 
 def _campaign_chunk(args: tuple) -> list[tuple]:
     letters_list, rank, precedence, cap, check_monotonic = args
-    policy = TruncationPolicy(cap=cap) if cap is not None else TruncationPolicy()
-    cmp = MagnusOrder(rank, precedence=precedence, policy=policy)
+    cmp = MagnusOrder(rank, precedence=precedence, cap=cap)
     out = []
     for letters in letters_list:
-        report = check_word(Word(letters, rank), cmp, check_monotonic=check_monotonic)
+        w = Word(letters, rank)
+        try:
+            report = check_word(w, cmp, check_monotonic=check_monotonic)
+        except UndecidedAtCapError as exc:
+            report = _unaudited(w, Anomaly("comparison_undecided", f"{w}: {exc}"))
         out.append(_summary(report))
     return out
 
@@ -443,6 +449,7 @@ def run_campaign(
         raise ValueError("need 1 <= min_length <= max_length")
     if workers < 1:
         raise ValueError("workers must be positive")
+    order = MagnusOrder(rank, precedence=precedence, cap=cap).description
     canonical = precedence is None or tuple(precedence) == tuple(range(1, rank + 1))
     if check_monotonic is None:
         check_monotonic = canonical
@@ -487,7 +494,6 @@ def run_campaign(
         if bad_report is not None:
             counterexamples.append(bad_report)
 
-    order = MagnusOrder(rank, precedence=precedence).description
     checks = ["unique_ascent", "descent_placement"]
     if check_monotonic:
         checks.append("monotonic_descent")

@@ -14,7 +14,6 @@ from orderword import (
     NotCyclicallyReducedError,
     Ordering,
     PeriodicWordError,
-    TruncationPolicy,
     ascent_descent_spans,
     concat,
     decompose,
@@ -72,14 +71,6 @@ def test_single_letters_are_totally_ordered(order):
         order.less(P(t), P(u)) for u in ("a", "b", "A", "B")
     ))
     assert ranked == ["a", "b", "B", "A"]  # a > b > B > A
-
-
-def test_max_and_min_word_tournaments(order):
-    words = [P(t) for t in ("a", "b", "A", "B")]
-    assert order.max_word(words) == P("a")
-    assert order.min_word(words) == P("A")
-    with pytest.raises(ValueError):
-        order.max_word([])
 
 
 def test_order_transitivity_sampled(order):
@@ -318,7 +309,7 @@ def test_decompose_deterministic_across_instances():
 
 def test_decompose_respects_policy_cap(order):
     # A generous explicit cap must not change any answer.
-    capped = MagnusOrder(2, policy=TruncationPolicy(cap=12))
+    capped = MagnusOrder(2, cap=12)
     for text in ("abAB", "bA", "baaba", "aaB"):
         assert decompose(P(text), capped) == decompose(P(text), order)
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from orderword import cli
 from orderword.cli import main
 
 
@@ -35,6 +36,18 @@ def test_series_rejects_negative_degree(capsys):
     assert code == 2
     assert out == ""
     assert "degree" in err
+
+
+def test_series_degree_bounded_by_monomial_count(capsys):
+    # Validation runs before any expansion: degree 30 would mean ~10^9 terms.
+    code, out, err = run(capsys, "series", "ABABABABAB", "--degree", "30")
+    assert code == 2
+    assert out == ""
+    assert "monomials" in err
+    for rank, largest in ((1, 999_999), (2, 18), (3, 12)):
+        cli._check_series_size(rank, largest)
+        with pytest.raises(ValueError):
+            cli._check_series_size(rank, largest + 1)
 
 
 # ---------------------------------------------------------------- compare
@@ -192,6 +205,13 @@ def test_campaign_swap_order_flag(capsys):
     assert out.startswith("checked=2 anomalies=0")
 
 
+def test_campaign_capped_below_deciding_degree_reports_and_exits_three(capsys):
+    code, out, err = run(capsys, "campaign", "--min-len", "2", "--max-len", "4", "--cap", "1")
+    assert code == 3
+    assert err == ""
+    assert out.startswith("checked=15 anomalies=")
+
+
 # ---------------------------------------------------------------- shared option handling
 
 def test_invalid_word_text_exits_two(capsys):
@@ -223,3 +243,13 @@ def test_unknown_command_is_a_parser_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_program_errors_are_not_anomalies(capsys, monkeypatch):
+    def broken(args):
+        raise NotImplementedError("bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "series", broken)
+    with pytest.raises(NotImplementedError):
+        main(["series", "a"])
+    assert capsys.readouterr().err == ""

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, groupby, product
 
 import pytest
 import sympy
 
 from orderword import (
+    MagnusOrder,
     MuCache,
     Ordering,
     SeriesOrderOutcome,
     TruncatedSeries,
-    TruncationPolicy,
     UndecidedAtCapError,
     Word,
     atom_series,
@@ -236,23 +236,23 @@ def test_series_text_respects_precedence():
     assert series_text(mu(P("aB"), 1), precedence=(2, 1)) == "1 - X2 + X1 + O(2)"
 
 
-# ---------------------------------------------------------------- truncation policy
-
-def test_policy_bound_schedule():
-    assert list(TruncationPolicy().bounds_for(10)) == [2, 4, 8, 16, 20]
-    assert list(TruncationPolicy().bounds_for(1)) == [2, 4, 8]
-    assert list(TruncationPolicy(cap=5).bounds_for(100)) == [2, 4, 5]
-    assert list(TruncationPolicy(start=3, growth=3, cap=30).bounds_for(0)) == [3, 9, 27, 30]
-    assert list(TruncationPolicy(cap=1).bounds_for(50)) == [1]
-
+# ---------------------------------------------------------------- truncation cap
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        TruncationPolicy(start=0)
+        MagnusOrder(2, cap=0)
     with pytest.raises(ValueError):
-        TruncationPolicy(growth=1)
-    with pytest.raises(ValueError):
-        TruncationPolicy(cap=0)
+        magnus_compare_words(P("a"), P("b"), cap=0)
+
+
+def test_syllable_count_caps_the_deciding_degree():
+    # x_i1^e1 ... x_ik^ek has coefficient e1*...*ek at X_i1...X_ik, so the image
+    # of a nontrivial reduced word differs from 1 at degree <= its syllable count.
+    for rank, max_length in ((2, 7), (3, 5)):
+        for n in range(1, max_length + 1):
+            for w in all_reduced(rank, n):
+                syllables = len(list(groupby(l.generator for l in w.letters)))
+                assert any(len(m) > 0 for m in mu(w, syllables).coefficients), str(w)
 
 
 # ---------------------------------------------------------------- word comparison
@@ -304,9 +304,27 @@ def test_magnus_compare_validation():
 
 def test_undecided_at_cap_is_loud():
     # The commutator's image is 1 + O(2), so a cap of 1 cannot separate it from 1.
-    policy = TruncationPolicy(cap=1)
     with pytest.raises(UndecidedAtCapError):
-        magnus_compare_words(P("abAB"), identity(2), policy=policy)
+        magnus_compare_words(P("abAB"), identity(2), cap=1)
+    # Common ends cancel first, so B*abAB*A against B*A is the same question.
+    with pytest.raises(UndecidedAtCapError):
+        MagnusOrder(2, cap=1).compare(P("BabABA"), P("BA"))
+
+
+def test_order_matches_reference_series():
+    # Two words of length <= 4 always separate by degree 8, their combined length.
+    words = [w for n in range(0, 5) for w in all_reduced(2, n)]
+    outcome = {
+        SeriesOrderOutcome.GREATER: Ordering.GREATER,
+        SeriesOrderOutcome.LESS: Ordering.LESS,
+        SeriesOrderOutcome.EQUAL_UP_TO_BOUND: Ordering.EQUAL,
+    }
+    images = {w: mu(w, 8) for w in words}
+    for precedence in ((1, 2), (2, 1)):
+        order = MagnusOrder(2, precedence=precedence)
+        for v, w in product(words, repeat=2):
+            expected = outcome[compare_series(images[v], images[w], precedence)]
+            assert order.compare(v, w) is expected, (str(v), str(w), precedence)
 
 
 # ---------------------------------------------------------------- caching

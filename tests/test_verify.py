@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -288,6 +289,8 @@ def test_campaign_validation():
         run_campaign(2, 2, 3, workers=0)
     with pytest.raises(ValueError):
         run_campaign(2, 2, 3, dedup="classes")
+    with pytest.raises(ValueError):
+        run_campaign(2, 2, 3, cap=0)
 
 
 def test_campaign_report_file_round_trip(tmp_path):
@@ -314,3 +317,31 @@ def test_campaign_histogram_totals_match_words_checked():
     assert report.words_checked == sum(
         rotation_class_count(2, n) for n in range(2, 6)
     )
+
+
+def test_capped_campaign_records_undecided_words():
+    report = run_campaign(2, 2, 4, cap=1)
+    assert report.words_checked_by_length == {
+        str(n): rotation_class_count(2, n) for n in range(2, 5)
+    }
+    assert report.anomaly_count == len(report.counterexamples) > 0
+    for bad in report.counterexamples:
+        [anomaly] = bad["anomalies"]
+        assert anomaly["label"] == "comparison_undecided"
+        assert anomaly["detail"].startswith(bad["word"] + ": ")
+
+
+@pytest.mark.parametrize(
+    "precedence, digest",
+    [
+        (None, "1957419b2dff043d58ab1b9c0489eb624a105f7eb4f03627f58666665fc147c6"),
+        ((2, 1), "af9a14d9ba2859137988d3599636a87b2dda49b3336c80a29f4a86f899b2533c"),
+    ],
+    ids=["canonical", "swapped"],
+)
+def test_default_cap_report_is_unchanged(precedence, digest):
+    # SHA-256 of the lengths 2..6 report without its wall clock, as first recorded.
+    report = run_campaign(2, 2, 6, precedence=precedence).to_dict()
+    report.pop("duration_seconds")
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
