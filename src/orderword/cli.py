@@ -8,7 +8,7 @@ import sys
 from .analysis import AscentPlacementError, InvariantViolationError, MagnusOrder, decompose
 from .series import UndecidedAtCapError, mu, series_text
 from .verify import check_word, run_campaign, weinbaum_factorizations
-from .words import parse_word, uniquely_positioned
+from .words import _MAX_TEXT_GENERATORS, parse_word, uniquely_positioned
 
 # Largest number of monomials, sum of rank**d over d <= degree, that
 # ``series --degree`` may expand: degree 18 at rank 2, 12 at rank 3.
@@ -188,6 +188,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.rank < 1:
             raise ValueError("rank must be positive")
+        # Campaign words of any rank render as <1 -2 ...>; text words cannot.
+        if args.command != "campaign" and args.rank > _MAX_TEXT_GENERATORS:
+            raise ValueError(
+                f"rank {args.rank} exceeds the {_MAX_TEXT_GENERATORS} generators "
+                "that text words can name"
+            )
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

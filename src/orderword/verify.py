@@ -102,20 +102,26 @@ def enumerate_cyclically_reduced(rank: int, length: int, dedup: str = "none") ->
 
     With ``dedup="rotation_class"`` only canonical representatives are
     yielded: the words that are the least element of their own rotation set.
+    They are generated directly as necklaces, with no filtering of the other
+    words (see :func:`_rotation_class_codes`).
     """
     if dedup not in ("none", "rotation_class"):
         raise ValueError(f"unknown dedup mode {dedup!r}")
     if rank < 1 or length < 1:
         raise ValueError("rank and length must be positive")
+    # Letter code c = 2 * (generator - 1) + (sign < 0) follows _letters_key,
+    # and c ^ 1 is the inverse letter.
     alphabet = [Letter(g, s) for g in range(1, rank + 1) for s in (1, -1)]
+    if dedup == "rotation_class":
+        for codes in _rotation_class_codes(2 * rank, length):
+            yield Word(tuple(alphabet[c] for c in codes), rank)
+        return
     prefix: list[Letter] = []
 
     def walk() -> Iterator[Word]:
         if len(prefix) == length:
             if length == 1 or prefix[0] != prefix[-1].inverse():
-                w = Word(tuple(prefix), rank)
-                if dedup == "none" or canonical_representative(w) == w:
-                    yield w
+                yield Word(tuple(prefix), rank)
             return
         for letter in alphabet:
             if prefix and letter == prefix[-1].inverse():
@@ -125,6 +131,38 @@ def enumerate_cyclically_reduced(rank: int, length: int, dedup: str = "none") ->
             prefix.pop()
 
     yield from walk()
+
+
+def _rotation_class_codes(size: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Code tuples of the canonical representatives of length n, in order.
+
+    The prenecklace recursion gen(t, p) of Fredricksen-Kessler-Maiorana and
+    Cattell-Ruskey-Sawada-Serra-Miers (J. Algorithms 2000) over codes
+    0..size-1, where p is the length of the longest Lyndon prefix. A letter
+    that cancels the one before it is skipped; that loses nothing, since
+    every prefix of a necklace is a prenecklace and every prefix of a freely
+    reduced word is freely reduced. A full-length prenecklace is yielded when
+    it is a necklace (n % p == 0), cyclically reduced, and no greater than
+    any rotation of its inverse.
+    """
+    a = [0] * (n + 1)  # a[0] is the recursion's sentinel; the word is a[1:]
+
+    def gen(t: int, p: int) -> Iterator[tuple[int, ...]]:
+        if t > n:
+            if n % p == 0 and a[1] != a[n] ^ 1:
+                word = tuple(a[1:])
+                inv = tuple(c ^ 1 for c in reversed(word))
+                if all(word <= inv[i:] + inv[:i] for i in range(n)):
+                    yield word
+            return
+        base = a[t - p]
+        cancels = a[t - 1] ^ 1 if t > 1 else -1
+        for j in range(base, size):
+            if j != cancels:
+                a[t] = j
+                yield from gen(t + 1, p if j == base else t)
+
+    return gen(1, 1)
 
 
 def cyclically_reduced_count(rank: int, length: int) -> int:
@@ -424,6 +462,10 @@ def _campaign_chunk(args: tuple) -> list[tuple]:
             report = check_word(w, cmp, check_monotonic=check_monotonic)
         except UndecidedAtCapError as exc:
             report = _unaudited(w, Anomaly("comparison_undecided", f"{w}: {exc}"))
+        except Exception as exc:
+            if hasattr(exc, "add_note"):  # Python 3.11+
+                exc.add_note(f"while checking {w}")
+            raise
         out.append(_summary(report))
     return out
 

@@ -239,6 +239,26 @@ def test_nonpositive_rank_exits_two(capsys):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("command", ["series", "compare", "decompose", "verify", "weinbaum"])
+def test_text_commands_reject_rank_beyond_letters(capsys, monkeypatch, command):
+    def unreachable(args):
+        raise AssertionError("validation should have stopped the command")
+
+    monkeypatch.setitem(cli._COMMANDS, command, unreachable)
+    words = ("a", "b") if command == "compare" else ("a",)
+    code, out, err = run(capsys, command, *words, "--rank", "27")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "rank" in err
+
+
+def test_campaign_accepts_any_rank(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "campaign", lambda args: seen.append(args.rank) or 0)
+    code, _, err = run(capsys, "campaign", "--rank", "27", "--min-len", "2", "--max-len", "2")
+    assert (code, err, seen) == (0, "", [27])
+
+
 def test_unknown_command_is_a_parser_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -30,6 +30,7 @@ from orderword import (
     weinbaum_factorizations,
     write_report,
 )
+from orderword import verify
 from orderword.verify import REPORT_SCHEMA
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
@@ -97,6 +98,23 @@ def test_rotation_class_counts():
             if not is_periodic(w)
         ]
         assert len(reps) == rotation_class_count(2, n)
+
+
+@pytest.mark.parametrize("rank, top", [(2, 8), (3, 6)])
+def test_rotation_class_generator_matches_filter_oracle(rank, top):
+    for n in range(1, top + 1):
+        generated = list(enumerate_cyclically_reduced(rank, n, dedup="rotation_class"))
+        filtered = [
+            w for w in enumerate_cyclically_reduced(rank, n) if canonical_representative(w) == w
+        ]
+        assert generated == filtered
+
+
+@pytest.mark.parametrize("rank, top", [(2, 12), (3, 8)])
+def test_rotation_class_generator_counts_classes(rank, top):
+    for n in range(2, top + 1):
+        reps = enumerate_cyclically_reduced(rank, n, dedup="rotation_class")
+        assert sum(1 for w in reps if not is_periodic(w)) == rotation_class_count(rank, n)
 
 
 def test_canonical_representative_properties():
@@ -278,6 +296,21 @@ def test_campaign_deterministic_across_worker_counts():
     serial.pop("duration_seconds")
     parallel.pop("duration_seconds")
     assert serial == parallel
+
+
+def test_campaign_error_names_the_word(monkeypatch):
+    real = verify.check_word
+
+    def broken(w, cmp, check_monotonic=True):
+        if str(w) == "aab":
+            raise ZeroDivisionError("injected")
+        return real(w, cmp, check_monotonic=check_monotonic)
+
+    monkeypatch.setattr(verify, "check_word", broken)
+    with pytest.raises(ZeroDivisionError) as excinfo:
+        run_campaign(2, 2, 4)
+    if hasattr(excinfo.value, "add_note"):  # Python 3.11+
+        assert any("aab" in note for note in excinfo.value.__notes__)
 
 
 def test_campaign_validation():
