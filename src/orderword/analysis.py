@@ -9,6 +9,9 @@ that ascent to the front splits the word into ascent * descent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import takewhile
+from typing import Callable
 
 from .series import (
     _ORDERINGS,
@@ -24,10 +27,10 @@ from .words import (
     Occurrence,
     Rotation,
     Word,
+    _prefix_counts,
     is_periodic,
     occurrences,
     rotation_set,
-    uniquely_positioned,
 )
 
 class PeriodicWordError(ValueError):
@@ -70,6 +73,7 @@ class MagnusOrder:
         self.cap = cap
         self._cache = MuCache()
         self._signs: dict[tuple[Letter, ...], int] = {}
+        self._table: CyclicSigns | None = None
 
     @property
     def description(self) -> str:
@@ -99,6 +103,13 @@ class MagnusOrder:
     def _sign_letters(self, letters: tuple[Letter, ...]) -> int:
         sign = self._signs.get(letters)
         return self._compare_letters(letters, ()) if sign is None else sign
+
+    def _cyclic_signs(self, w: Word) -> CyclicSigns:
+        """The sign table of w, kept until a table of another word is asked for."""
+        table = self._table
+        if table is None or table.word != w:
+            table = self._table = CyclicSigns(w, self._sign_letters)
+        return table
 
 
 def is_ascent(u: Word, cmp: MagnusOrder) -> bool:
@@ -197,6 +208,129 @@ def ascent_descent_spans(
     return ascents, descents
 
 
+def _leading(flags) -> int:
+    """How many of the flags, from the first on, are true."""
+    return sum(1 for _ in takewhile(bool, flags))
+
+
+class CyclicSigns:
+    """The signs of all cyclic subwords of one word, which every audit reads.
+
+    ``sg[s][l]`` is the sign of the cyclic subword of w that starts at s and
+    has length l, for 0 <= s < n and 1 <= l <= n (``sg[s][0]`` is the empty
+    word's 0). Rotation r of ``elements`` is w rotated by r for r < n and w^-1
+    rotated by r - n after that. Span [i, j) of a rotation of w^-1 is the
+    inverse of the cyclic subword of w at ((-r - j) mod n, j - i), so its
+    sign is the negative of that subword's, and it is an ascent exactly when
+    that subword is a descent.
+
+    A cyclic subword is an ascent when its prefixes and its suffixes are all
+    positive. The prefixes run from its start and the suffixes end at its
+    end, so two run lengths per position decide every subword.
+    """
+
+    def __init__(self, w: Word, sign: Callable[[tuple[Letter, ...]], int]) -> None:
+        self.word = w
+        self.elements = rotation_set(w).elements
+        letters = w.letters
+        n = self.n = len(letters)
+        doubled = letters + letters
+        self.sg = [[0] + [sign(doubled[s : s + l]) for l in range(1, n + 1)] for s in range(n)]
+        # (low_index, peak_index) of each rotation's prefix_profile.
+        self.low_peak = [self._low_peak(r) for r in range(2 * n)]
+
+    @cached_property
+    def counts(self) -> dict[tuple[Letter, ...], int]:
+        """How many rotation-set elements each prefix of an element prefixes."""
+        return _prefix_counts(self.elements)
+
+    @cached_property
+    def _runs(self) -> dict[int, tuple[list[int], list[int]]]:
+        # _runs[want][0][s]: how many of the subwords that start at s, by
+        # length, have sign want before one does not; _runs[want][1][e]: the
+        # same for the subwords that end just before e.
+        n, sg = self.n, self.sg
+        lengths = range(1, n + 1)
+        return {
+            want: (
+                [_leading(want * sg[s][l] > 0 for l in lengths) for s in range(n)],
+                [_leading(want * sg[(e - l) % n][l] > 0 for l in lengths) for e in range(n)],
+            )
+            for want in (1, -1)
+        }
+
+    def _monotone(self, s: int, l: int, want: int) -> bool:
+        # Every prefix and every suffix of the cyclic subword (s, l) has sign want.
+        from_start, to_end = self._runs[want]
+        return l <= from_start[s] and l <= to_end[(s + l) % self.n]
+
+    def _cell(self, r: int, i: int, j: int) -> tuple[int, int, int]:
+        # (s, l, +1) when span [i, j) of rotation r is the cyclic subword
+        # (s, l) of w, (s, l, -1) when it is that subword's inverse.
+        n = self.n
+        if r < n:
+            return (r + i) % n, j - i, 1
+        return (-r - j) % n, j - i, -1
+
+    def sign(self, r: int, i: int, j: int) -> int:
+        """Sign of span [i, j) of rotation r."""
+        s, l, flip = self._cell(r, i, j)
+        return flip * self.sg[s][l]
+
+    def is_descent(self, r: int, i: int, j: int) -> bool:
+        """True iff the nonempty span [i, j) of rotation r is a descent."""
+        s, l, flip = self._cell(r, i, j)
+        return self._monotone(s, l, -flip)
+
+    def spans(self, r: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Sorted spans of the ascents and of the descents of rotation r.
+
+        As sets they are :func:`ascent_descent_spans` of that rotation.
+        """
+        n = self.n
+        out = []
+        for want in (1, -1):
+            if r < n:
+                # Span [i, i + l) is (s, l) with s = r + i: its prefix run
+                # bounds l, its suffix run is checked.
+                from_start, to_end = self._runs[want]
+                out.append([
+                    (i, i + l)
+                    for i in range(n)
+                    for l in range(1, min(from_start[(r + i) % n], n - i) + 1)
+                    if l <= to_end[(r + i + l) % n]
+                ])
+            else:
+                # Span [i, j) inverts (s, j - i) with s = -r - j, which ends
+                # at -r - i: the suffix run of that end bounds j.
+                from_start, to_end = self._runs[-want]
+                out.append([
+                    (i, j)
+                    for i in range(n)
+                    for j in range(i + 1, i + min(to_end[(-r - i) % n], n - i) + 1)
+                    if j - i <= from_start[(-r - j) % n]
+                ])
+        return out[0], out[1]
+
+    def _low_peak(self, r: int) -> tuple[int, int]:
+        # prefix_profile of rotation r: prefix i against prefix j < i is the
+        # sign of span [j, i), read as in _cell.
+        n, sg = self.n, self.sg
+        peak = low = 0
+        for i in range(1, n + 1):
+            if r < n:
+                above = sg[(r + peak) % n][i - peak] > 0
+                below = sg[(r + low) % n][i - low] < 0
+            else:
+                row = sg[(-r - i) % n]
+                above, below = row[i - peak] < 0, row[i - low] > 0
+            if above:
+                peak = i
+            if below:
+                low = i
+        return low, peak
+
+
 @dataclass(frozen=True)
 class MaximalAscent:
     """The order-largest ascent among subwords of a rotation set."""
@@ -226,18 +360,19 @@ def maximal_ascent(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Max
     """
     if len(w) == 0:
         raise ValueError("the empty word has no ascent")
-    elements = rotation_set(w).elements
     candidates: set[tuple[Letter, ...]] = set()
     if algorithm == "bruteforce":
+        elements = rotation_set(w).elements
         for element in elements:
             letters = element.word.letters
             spans, _ = ascent_descent_spans(element.word, cmp)
             candidates.update(letters[i:j] for i, j in spans)
     elif algorithm == "peaklow":
-        for element in elements:
-            profile = prefix_profile(element.word, cmp)
-            if profile.low_index < profile.peak_index:
-                candidates.add(element.word.letters[profile.low_index : profile.peak_index])
+        table = cmp._cyclic_signs(w)
+        elements = table.elements
+        for element, (low, peak) in zip(elements, table.low_peak):
+            if low < peak:
+                candidates.add(element.word.letters[low:peak])
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if not candidates:
@@ -280,17 +415,16 @@ def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decompos
     if is_periodic(w):
         raise PeriodicWordError(f"{w!r} is a proper power")
     found = maximal_ascent(w, cmp, algorithm=algorithm)
-    elements = rotation_set(w).elements
+    table = cmp._cyclic_signs(w)
     ascent_letters = found.ascent.letters
-    chosen = origin = None
-    for element in elements:
-        if element.word.letters[: len(ascent_letters)] == ascent_letters:
-            chosen, origin = element.word, element.origin
+    cut = len(ascent_letters)
+    for r, (chosen, origin) in enumerate(table.elements):
+        if chosen.letters[:cut] == ascent_letters:
             break
-    if chosen is None:
+    else:
         raise AscentPlacementError(f"no rotation of {w!r} starts with the maximal ascent")
-    descent = chosen[len(ascent_letters) :]
-    if len(descent) and not is_descent(descent, cmp):
+    descent = chosen[cut:]
+    if len(descent) and not table.is_descent(r, cut, len(w)):
         raise InvariantViolationError(
             f"remainder {descent!r} after the maximal ascent is not a descent"
         )
@@ -301,5 +435,6 @@ def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decompos
         ascent=found.ascent,
         descent=descent,
         ascent_occurrences=occurrences(found.ascent, chosen),
-        descent_unique=uniquely_positioned(descent, w) if len(descent) else None,
+        # Uniquely positioned: a prefix of exactly one rotation-set element.
+        descent_unique=table.counts[descent.letters] == 1 if len(descent) else None,
     )

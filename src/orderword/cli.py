@@ -197,6 +197,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # Notes such as a campaign's "while checking <word>" (Python 3.11+).
+        for note in getattr(exc, "__notes__", ()):
+            print(note, file=sys.stderr)
         return 2
     except (UndecidedAtCapError, AscentPlacementError, InvariantViolationError) as exc:
         print(f"anomaly: {exc}", file=sys.stderr)

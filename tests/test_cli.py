@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from orderword import cli
+from orderword import cli, verify
 from orderword.cli import main
 
 
@@ -273,3 +273,20 @@ def test_program_errors_are_not_anomalies(capsys, monkeypatch):
     with pytest.raises(NotImplementedError):
         main(["series", "a"])
     assert capsys.readouterr().err == ""
+
+
+def test_campaign_error_names_the_word_on_stderr(capsys, monkeypatch):
+    real = verify.check_word
+
+    def broken(w, cmp, check_monotonic=True):
+        if str(w) == "aab":
+            raise ValueError("injected")
+        return real(w, cmp, check_monotonic=check_monotonic)
+
+    monkeypatch.setattr(verify, "check_word", broken)
+    code, out, err = run(capsys, "campaign", "--min-len", "2", "--max-len", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: injected\n")
+    if hasattr(ValueError(), "add_note"):  # Python 3.11+
+        assert "aab" in err

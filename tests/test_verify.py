@@ -378,3 +378,23 @@ def test_default_cap_report_is_unchanged(precedence, digest):
     report.pop("duration_seconds")
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "cap, precedence, count, words_sha256",
+    [
+        (1, None, 162, "5b5d758ccdca976be13387b78d316f1d7e76b0ded3894313a59db68e7eb29156"),
+        (1, (2, 1), 164, "85b83675b342cf951582b366293ce53e46832f84798671344bf91b600ddb4ebf"),
+        (2, None, 5, "e73a5ae5a9d624562376c08dbae602ddb7c62bd6e9aec99bdbf9ee6fe7b62afe"),
+        (2, (2, 1), 6, "cae4d95c328d50fc610b2f7ef010a9b6be90c08bdc40ad034ff220fd8a3a37af"),
+    ],
+    ids=["cap1-canonical", "cap1-swapped", "cap2-canonical", "cap2-swapped"],
+)
+def test_capped_campaign_names_the_same_words(cap, precedence, count, words_sha256):
+    # Counts and the SHA-256 of the newline-joined counterexample words, as
+    # first recorded. Which undecided comparison a detail names may change
+    # with the order in which signs are computed; which words fail may not.
+    report = run_campaign(2, 2, 7, cap=cap, precedence=precedence)
+    assert report.anomaly_count == count
+    words = "\n".join(bad["word"] for bad in report.counterexamples)
+    assert hashlib.sha256(words.encode("utf-8")).hexdigest() == words_sha256
