@@ -45,8 +45,8 @@ print("letters ranked:", " > ".join(str(v) for v in ranked))
 for text in ("a", "B", "abAB", "baBA"):
     print(f"sign({text}) = {order.sign(P(text)):+d}")
 
-# Comparisons that tie at low degree escalate the truncation bound
-# automatically; the commutator needs degree 2 to separate from 1.
+# Comparisons that tie at one degree go on to the next automatically; the
+# commutator needs degree 2 to separate from 1.
 print("mu(abAB) at degree 1:", series_text(mu(P("abAB"), 1)))
 print("mu(abAB) at degree 2:", series_text(mu(P("abAB"), 2)))
 

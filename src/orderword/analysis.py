@@ -15,11 +15,11 @@ from typing import Callable
 
 from .series import (
     _ORDERINGS,
-    MuCache,
+    Components,
     Ordering,
     _check_cap,
-    _check_precedence,
     _compare_letters,
+    _places,
 )
 from .words import (
     Letter,
@@ -68,10 +68,11 @@ class MagnusOrder:
         if rank < 1:
             raise ValueError("rank must be positive")
         self.rank = rank
-        self.precedence = None if precedence is None else _check_precedence(precedence, rank)
+        self._place = _places(precedence, rank)
+        self.precedence = None if precedence is None else tuple(precedence)
         _check_cap(cap)
         self.cap = cap
-        self._cache = MuCache()
+        self._store: dict[tuple[Letter, ...], Components] = {}
         self._signs: dict[tuple[Letter, ...], int] = {}
         self._table: CyclicSigns | None = None
 
@@ -96,9 +97,7 @@ class MagnusOrder:
         return self._sign_letters(w.letters)
 
     def _compare_letters(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
-        return _compare_letters(
-            lv, lw, self.rank, self.cap, self.precedence, self._cache, self._signs
-        )
+        return _compare_letters(lv, lw, self.cap, self._place, self._store, self._signs)
 
     def _sign_letters(self, letters: tuple[Letter, ...]) -> int:
         sign = self._signs.get(letters)

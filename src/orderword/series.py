@@ -4,7 +4,9 @@ A series is a finite dict from monomials to exact ints, truncated at a total
 degree bound. Generator i maps to 1 + X_i, its inverse to the alternating
 geometric series 1 - X_i + X_i^2 - ..., so inverse pairs telescope to 1
 exactly at every bound. Comparing two series coefficient-by-coefficient along
-a fixed monomial enumeration gives a total order on words.
+a fixed monomial enumeration gives a total order on words; the order itself
+grows word images one homogeneous component at a time and stops at the first
+degree where they differ.
 """
 
 from __future__ import annotations
@@ -210,10 +212,12 @@ def series_text(s: TruncatedSeries, precedence: tuple[int, ...] | None = None) -
 
 
 class MuCache:
-    """Per-order memo of word images, grown one letter at a time.
+    """Memo of truncated word images, keyed by bound and grown one letter at a time.
 
     Looking up a word at a bound reuses the longest cached prefix, so scanning
-    the prefixes of a word costs one series multiplication per letter.
+    the prefixes of a word costs one series multiplication per letter. The
+    word order does not use it: it grows homogeneous components instead (see
+    :func:`_components`).
     """
 
     def __init__(self, max_entries: int = 500_000) -> None:
@@ -255,65 +259,141 @@ def _check_cap(cap: int | None) -> None:
         raise ValueError("cap must be positive")
 
 
+def _places(precedence: tuple[int, ...] | None, rank: int) -> tuple[int, ...]:
+    """``place[g]`` is generator g's position in the enumeration order (0 first)."""
+    place = [0] * (rank + 1)
+    for position, generator in enumerate(_check_precedence(precedence, rank)):
+        place[generator] = position
+    return tuple(place)
+
+
 def _syllable_count(letters: tuple[Letter, ...]) -> int:
     """Number of maximal runs of one generator in a letter sequence."""
     generators = [letter.generator for letter in letters]
     return sum(1 for a, b in zip([None] + generators, generators) if a != b)
 
 
-def _ladder(
+# A word's image as its homogeneous components: component d maps each
+# degree-d monomial with a nonzero coefficient to that coefficient. Here a
+# monomial is the tuple of its variables' enumeration positions, so plain
+# tuple order is the enumeration order within one degree.
+Components = list[dict[tuple[int, ...], int]]
+
+_DEGREE_ZERO = {(): 1}
+
+
+def _components(
+    store: dict[tuple[Letter, ...], Components],
+    letters: tuple[Letter, ...],
+    degree: int,
+    place: tuple[int, ...],
+) -> Components:
+    """The components of the image of ``letters`` through ``degree``, memoised.
+
+    Component d of u*x_g is component d of u plus component d - 1 of u times
+    X_g. The image of u*x_g^-1 times 1 + X_g is that of u, so its component d
+    is component d of u minus its own component d - 1 times X_g. A word thus
+    grows one letter at a time from its longest stored prefix, and one degree
+    at a time from its prefixes' components, which are stored too; a prefix
+    of a stored word is always stored through at least the same degree.
+    Stored components are never changed, so equal ones may be shared.
+    """
+    entry = store.get(letters)
+    if entry is not None and len(entry) > degree:
+        return entry
+    # The prefixes that lack components, longest first.
+    short = []
+    i = len(letters)
+    while entry is None or len(entry) <= degree:
+        if entry is None:
+            entry = store[letters[:i]] = [_DEGREE_ZERO]
+        if i == 0:
+            entry.extend({} for _ in range(len(entry), degree + 1))
+            break
+        short.append((i, entry))
+        i -= 1
+        entry = store.get(letters[:i])
+    below = entry
+    for i, entry in reversed(short):
+        generator, sign = letters[i - 1]
+        if generator >= len(place):
+            raise ValueError(f"generator {generator} outside rank {len(place) - 1}")
+        x = (place[generator],)
+        for d in range(len(entry), degree + 1):
+            carry = below[d - 1] if sign > 0 else entry[d - 1]
+            if not carry:
+                entry.append(below[d])
+                continue
+            component = dict(below[d])
+            for monomial, coeff in carry.items():
+                monomial += x
+                coeff = component.get(monomial, 0) + sign * coeff
+                if coeff:
+                    component[monomial] = coeff
+                else:
+                    del component[monomial]
+            entry.append(component)
+        below = entry
+    return below
+
+
+def _first_difference(
     lv: tuple[Letter, ...],
     lw: tuple[Letter, ...],
-    rank: int,
     cap: int | None,
-    precedence: tuple[int, ...] | None,
-    cache: MuCache,
+    place: tuple[int, ...],
+    store: dict[tuple[Letter, ...], Components],
 ) -> int:
     """+1 or -1 as the image of lv is above or below that of lw.
 
     The two letter sequences must differ and must not start with the same
     letter, so that lw^-1 * lv is reduced as written.
 
-    The cached images are compared at bounds 2, 4, 8, ... up to the cap. The
-    default cap is the syllable count of lw^-1 * lv: if that reduced word is
-    x_i1^e1 ... x_ik^ek with adjacent generators distinct, its image has the
-    coefficient e1*...*ek != 0 at X_i1...X_ik (Magnus 1935), so the images of
-    lv and lw differ at degree k or below and only an explicit cap can run out.
+    Degrees 1, 2, ... are compared in turn up to the cap, and the first
+    degree whose components differ decides at its least differing monomial.
+    The default cap is the syllable count of lw^-1 * lv: if that reduced word
+    is x_i1^e1 ... x_ik^ek with adjacent generators distinct, its image has
+    the coefficient e1*...*ek != 0 at X_i1...X_ik (Magnus 1935), so the
+    images of lv and lw differ at degree k or below and only an explicit cap
+    can run out.
     """
-    bound = 2 if cap is None else min(2, cap)
+    cv = cw = ()
+    degree = 1
     while True:
-        outcome = compare_series(
-            cache.mu_of(lv, rank, bound), cache.mu_of(lw, rank, bound), precedence
-        )
-        if outcome is not SeriesOrderOutcome.EQUAL_UP_TO_BOUND:
-            return 1 if outcome is SeriesOrderOutcome.GREATER else -1
+        if len(cv) <= degree:
+            cv = _components(store, lv, degree, place)
+        if len(cw) <= degree:
+            cw = _components(store, lw, degree, place)
+        a, b = cv[degree], cw[degree]
+        if a != b:
+            first, _ = min(a.items() ^ b.items())
+            return 1 if a.get(first, 0) > b.get(first, 0) else -1
         if cap is None:
             # Reversing lw keeps its generator sequence aligned with lw^-1, and
             # the junction with lv cannot cancel since the first letters differ.
             cap = _syllable_count(lw[::-1] + lv)
-        if bound >= cap:
+        if degree >= cap:
             raise UndecidedAtCapError(
                 f"distinct words compared equal up to the cap of degree {cap} "
                 f"(lengths {len(lv)} and {len(lw)} without common ends); raise the cap"
             )
-        bound = min(2 * bound, cap)
+        degree += 1
 
 
 def _compare_letters(
     lv: tuple[Letter, ...],
     lw: tuple[Letter, ...],
-    rank: int,
     cap: int | None,
-    precedence: tuple[int, ...] | None,
-    cache: MuCache,
+    place: tuple[int, ...],
+    store: dict[tuple[Letter, ...], Components],
     signs: dict[tuple[Letter, ...], int],
 ) -> int:
     """The one comparison path: +1, 0 or -1 as lv is above, equal to or below lw.
 
     The order is invariant under multiplication on both sides, so the common
     prefix and suffix cancel first. A lone remaining side is a subword whose
-    sign against the identity is memoised in ``signs``; two remaining sides go
-    up the bound ladder.
+    sign against the identity is memoised in ``signs``; two remaining sides
+    are compared degree by degree.
     """
     n = min(len(lv), len(lw))
     head = 0
@@ -324,13 +404,13 @@ def _compare_letters(
         tail += 1
     lv, lw = lv[head : len(lv) - tail], lw[head : len(lw) - tail]
     if lv and lw:
-        return _ladder(lv, lw, rank, cap, precedence, cache)
+        return _first_difference(lv, lw, cap, place, store)
     u = lv or lw
     if not u:
         return 0
     sign = signs.get(u)
     if sign is None:
-        sign = signs[u] = _ladder(u, (), rank, cap, precedence, cache)
+        sign = signs[u] = _first_difference(u, (), cap, place, store)
     return sign if lv else -sign
 
 
@@ -343,19 +423,16 @@ def magnus_compare_words(
     w: Word,
     cap: int | None = None,
     precedence: tuple[int, ...] | None = None,
-    cache: MuCache | None = None,
 ) -> Ordering:
     """Order two words by the first differing coefficient of their series images.
 
     Returns EQUAL only for identical reduced words. An explicit ``cap`` below
     the degree that separates two distinct words raises
-    :class:`UndecidedAtCapError`; the default cap never does. Without a
-    ``cache`` the images are built in a fresh :class:`MuCache`.
+    :class:`UndecidedAtCapError`; the default cap never does. The images are
+    grown in a fresh store of homogeneous components.
     """
     if v.rank != w.rank:
         raise ValueError("cannot compare words of different ranks")
-    _check_precedence(precedence, v.rank)
+    place = _places(precedence, v.rank)
     _check_cap(cap)
-    if cache is None:
-        cache = MuCache()
-    return _ORDERINGS[_compare_letters(v.letters, w.letters, v.rank, cap, precedence, cache, {})]
+    return _ORDERINGS[_compare_letters(v.letters, w.letters, cap, place, {}, {})]

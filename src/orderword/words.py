@@ -53,7 +53,11 @@ class Word:
                 )
             if letter.sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
-            if prev is not None and prev == letter.inverse():
+            if (
+                prev is not None
+                and prev.generator == letter.generator
+                and prev.sign == -letter.sign
+            ):
                 raise ValueError("word is not freely reduced; use reduce()")
             prev = letter
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby, permutations, product
 
 import pytest
 import sympy
@@ -29,6 +29,7 @@ from orderword import (
     series_text,
     truncate,
 )
+from orderword.series import _components, _places
 from wordgen import all_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
@@ -300,6 +301,11 @@ def test_magnus_compare_validation():
         magnus_compare_words(P("a"), parse_word("a", 3))
     with pytest.raises(ValueError):
         magnus_compare_words(P("a"), P("b"), precedence=(1, 1))
+    # An order of rank 2 takes words of a higher rank only inside rank 2.
+    order = MagnusOrder(2)
+    assert order.compare(parse_word("ab", 3), parse_word("ba", 3)) is Ordering.GREATER
+    with pytest.raises(ValueError, match="generator 3 outside rank 2"):
+        order.compare(parse_word("c", 3), parse_word("a", 3))
 
 
 def test_undecided_at_cap_is_loud():
@@ -312,19 +318,73 @@ def test_undecided_at_cap_is_loud():
 
 
 def test_order_matches_reference_series():
-    # Two words of length <= 4 always separate by degree 8, their combined length.
-    words = [w for n in range(0, 5) for w in all_reduced(2, n)]
+    # Two words of length <= top always separate by degree 2 * top, their
+    # combined length. Rank 3 is the path that rank-3 verification runs.
     outcome = {
         SeriesOrderOutcome.GREATER: Ordering.GREATER,
         SeriesOrderOutcome.LESS: Ordering.LESS,
         SeriesOrderOutcome.EQUAL_UP_TO_BOUND: Ordering.EQUAL,
     }
-    images = {w: mu(w, 8) for w in words}
+    for rank, top in ((2, 4), (3, 3)):
+        words = [w for n in range(0, top + 1) for w in all_reduced(rank, n)]
+        images = {w: mu(w, 2 * top) for w in words}
+        for precedence in (tuple(range(1, rank + 1)), tuple(range(rank, 0, -1))):
+            order = MagnusOrder(rank, precedence=precedence)
+            for v, w in product(words, repeat=2):
+                expected = outcome[compare_series(images[v], images[w], precedence)]
+                assert order.compare(v, w) is expected, (str(v), str(w), precedence)
+
+
+def test_explicit_cap_matches_reference_series():
+    # Below the deciding degree the order must give up exactly where the
+    # images truncated at the cap agree, and decide as they do elsewhere.
+    words = [w for n in range(0, 5) for w in all_reduced(2, n)]
+    assert len(words) == 161
+    outcome = {
+        SeriesOrderOutcome.GREATER: Ordering.GREATER,
+        SeriesOrderOutcome.LESS: Ordering.LESS,
+    }
+    undecided = 0
     for precedence in ((1, 2), (2, 1)):
-        order = MagnusOrder(2, precedence=precedence)
-        for v, w in product(words, repeat=2):
-            expected = outcome[compare_series(images[v], images[w], precedence)]
-            assert order.compare(v, w) is expected, (str(v), str(w), precedence)
+        for cap in range(1, 6):
+            order = MagnusOrder(2, precedence=precedence, cap=cap)
+            images = {w: mu(w, cap) for w in words}
+            for v, w in product(words, repeat=2):
+                expected = compare_series(images[v], images[w], precedence)
+                if v == w:
+                    assert order.compare(v, w) is Ordering.EQUAL
+                elif expected is SeriesOrderOutcome.EQUAL_UP_TO_BOUND:
+                    with pytest.raises(UndecidedAtCapError, match=f"cap of degree {cap} "):
+                        order.compare(v, w)
+                    undecided += 1
+                else:
+                    assert order.compare(v, w) is outcome[expected], (str(v), str(w), cap)
+    assert undecided == 1424
+
+
+def _homogeneous_parts(image: TruncatedSeries, place: tuple[int, ...], degree: int):
+    parts = [{} for _ in range(degree + 1)]
+    for monomial, coeff in image.coefficients.items():
+        if len(monomial) <= degree:
+            parts[len(monomial)][tuple(place[g] for g in monomial)] = coeff
+    return parts
+
+
+@pytest.mark.parametrize("rank, top", [(2, 6), (3, 4)])
+def test_stored_components_are_homogeneous_parts_of_mu(rank, top):
+    # Every component in the store, the prefixes' included, is the matching
+    # degree of the reference image, with variables written as positions.
+    words = [w for n in range(0, top + 1) for w in all_reduced(rank, n)]
+    images = {w.letters: mu(w, top) for w in words}
+    for precedence in permutations(range(1, rank + 1)):
+        place = _places(precedence, rank)
+        store = {}
+        for w in words:
+            syllables = len(list(groupby(l.generator for l in w.letters)))
+            assert len(_components(store, w.letters, syllables, place)) > syllables
+        assert len(store) == len(words)
+        for letters, entry in store.items():
+            assert entry == _homogeneous_parts(images[letters], place, len(entry) - 1)
 
 
 # ---------------------------------------------------------------- caching

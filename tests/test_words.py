@@ -82,8 +82,12 @@ def test_str_of_empty_word():
 # ---------------------------------------------------------------- Word type
 
 def test_word_rejects_unreduced_letters():
-    with pytest.raises(ValueError, match="reduced"):
-        Word((Letter(1, 1), Letter(1, -1)), 2)
+    a, b = Letter(1, 1), Letter(2, 1)
+    for letters in ((a, a.inverse()), (b, a.inverse(), a), (b.inverse(), b)):
+        with pytest.raises(ValueError, match=r"^word is not freely reduced; use reduce\(\)$"):
+            Word(letters, 2)
+    # Equal letters and different generators are reduced.
+    assert len(Word((a, a, b, a.inverse(), b.inverse()), 2)) == 5
 
 
 def test_word_rejects_bad_rank_sign_generator():
