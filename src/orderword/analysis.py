@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import takewhile
 from typing import Callable
 
 from .series import (
@@ -207,11 +206,6 @@ def ascent_descent_spans(
     return ascents, descents
 
 
-def _leading(flags) -> int:
-    """How many of the flags, from the first on, are true."""
-    return sum(1 for _ in takewhile(bool, flags))
-
-
 class CyclicSigns:
     """The signs of all cyclic subwords of one word, which every audit reads.
 
@@ -222,10 +216,6 @@ class CyclicSigns:
     inverse of the cyclic subword of w at ((-r - j) mod n, j - i), so its
     sign is the negative of that subword's, and it is an ascent exactly when
     that subword is a descent.
-
-    A cyclic subword is an ascent when its prefixes and its suffixes are all
-    positive. The prefixes run from its start and the suffixes end at its
-    end, so two run lengths per position decide every subword.
     """
 
     def __init__(self, w: Word, sign: Callable[[tuple[Letter, ...]], int]) -> None:
@@ -243,25 +233,13 @@ class CyclicSigns:
         """How many rotation-set elements each prefix of an element prefixes."""
         return _prefix_counts(self.elements)
 
-    @cached_property
-    def _runs(self) -> dict[int, tuple[list[int], list[int]]]:
-        # _runs[want][0][s]: how many of the subwords that start at s, by
-        # length, have sign want before one does not; _runs[want][1][e]: the
-        # same for the subwords that end just before e.
-        n, sg = self.n, self.sg
-        lengths = range(1, n + 1)
-        return {
-            want: (
-                [_leading(want * sg[s][l] > 0 for l in lengths) for s in range(n)],
-                [_leading(want * sg[(e - l) % n][l] > 0 for l in lengths) for e in range(n)],
-            )
-            for want in (1, -1)
-        }
-
     def _monotone(self, s: int, l: int, want: int) -> bool:
         # Every prefix and every suffix of the cyclic subword (s, l) has sign want.
-        from_start, to_end = self._runs[want]
-        return l <= from_start[s] and l <= to_end[(s + l) % self.n]
+        n, sg = self.n, self.sg
+        row = sg[s]
+        return all(want * row[k] > 0 for k in range(1, l + 1)) and all(
+            want * sg[(s + l - k) % n][k] > 0 for k in range(1, l)
+        )
 
     def _cell(self, r: int, i: int, j: int) -> tuple[int, int, int]:
         # (s, l, +1) when span [i, j) of rotation r is the cyclic subword
@@ -281,35 +259,24 @@ class CyclicSigns:
         s, l, flip = self._cell(r, i, j)
         return self._monotone(s, l, -flip)
 
-    def spans(self, r: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Sorted spans of the ascents and of the descents of rotation r.
+    def hits(self, pattern: tuple[Letter, ...]) -> list[int]:
+        """How many times the nonempty pattern occurs in each rotation-set element.
 
-        As sets they are :func:`ascent_descent_spans` of that rotation.
+        Element r < n is w·w read from r for n letters, so the pattern starting
+        at cyclic position p of w lies inside it exactly when
+        ``(p - r) % n <= n - len(pattern)``; the elements from n on read w^-1
+        the same way. One slice compare per cyclic position finds every p.
         """
-        n = self.n
-        out = []
-        for want in (1, -1):
-            if r < n:
-                # Span [i, i + l) is (s, l) with s = r + i: its prefix run
-                # bounds l, its suffix run is checked.
-                from_start, to_end = self._runs[want]
-                out.append([
-                    (i, i + l)
-                    for i in range(n)
-                    for l in range(1, min(from_start[(r + i) % n], n - i) + 1)
-                    if l <= to_end[(r + i + l) % n]
-                ])
-            else:
-                # Span [i, j) inverts (s, j - i) with s = -r - j, which ends
-                # at -r - i: the suffix run of that end bounds j.
-                from_start, to_end = self._runs[-want]
-                out.append([
-                    (i, j)
-                    for i in range(n)
-                    for j in range(i + 1, i + min(to_end[(-r - i) % n], n - i) + 1)
-                    if j - i <= from_start[(-r - j) % n]
-                ])
-        return out[0], out[1]
+        n, m = self.n, len(pattern)
+        counts = [0] * (2 * n)
+        for base in (0, n):
+            letters = self.elements[base].word.letters
+            doubled = letters + letters
+            for p in range(n):
+                if doubled[p : p + m] == pattern:
+                    for i in range(n - m + 1):
+                        counts[base + (p - i) % n] += 1
+        return counts
 
     def _low_peak(self, r: int) -> tuple[int, int]:
         # prefix_profile of rotation r: prefix i against prefix j < i is the
@@ -349,31 +316,22 @@ def _locate(ascent_letters: tuple[Letter, ...], elements: tuple[Rotation, ...], 
     raise AscentPlacementError("maximal ascent vanished from its own rotation set")
 
 
-def maximal_ascent(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> MaximalAscent:
+def maximal_ascent(w: Word, cmp: MagnusOrder) -> MaximalAscent:
     """The unique order-largest ascent over all subwords of the rotation set of w.
 
-    ``algorithm="bruteforce"`` classifies every subword of every rotation;
-    ``"peaklow"`` takes, per rotation, the slice from the low prefix to the
-    peak prefix. Both must return the same word; among rotations containing
-    it, the first in rotation-set order is reported as host.
+    Per rotation, the candidate is the slice from the low prefix to the peak
+    prefix; among rotations containing the winner, the first in rotation-set
+    order is reported as host.
     """
     if len(w) == 0:
         raise ValueError("the empty word has no ascent")
-    candidates: set[tuple[Letter, ...]] = set()
-    if algorithm == "bruteforce":
-        elements = rotation_set(w).elements
-        for element in elements:
-            letters = element.word.letters
-            spans, _ = ascent_descent_spans(element.word, cmp)
-            candidates.update(letters[i:j] for i, j in spans)
-    elif algorithm == "peaklow":
-        table = cmp._cyclic_signs(w)
-        elements = table.elements
-        for element, (low, peak) in zip(elements, table.low_peak):
-            if low < peak:
-                candidates.add(element.word.letters[low:peak])
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    table = cmp._cyclic_signs(w)
+    elements = table.elements
+    candidates = {
+        element.word.letters[low:peak]
+        for element, (low, peak) in zip(elements, table.low_peak)
+        if low < peak
+    }
     if not candidates:
         raise AscentPlacementError(f"no ascent found among subwords of {w!r}")
     best = None
@@ -400,7 +358,7 @@ class Decomposition:
         return len(self.descent) == 0
 
 
-def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decomposition:
+def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
     """Split a rotation of w (or of w^-1) as maximal ascent times descent.
 
     Requires a cyclically reduced, nonperiodic word of length > 1. The chosen
@@ -413,7 +371,7 @@ def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decompos
         raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
     if is_periodic(w):
         raise PeriodicWordError(f"{w!r} is a proper power")
-    found = maximal_ascent(w, cmp, algorithm=algorithm)
+    found = maximal_ascent(w, cmp)
     table = cmp._cyclic_signs(w)
     ascent_letters = found.ascent.letters
     cut = len(ascent_letters)

@@ -268,6 +268,16 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
     reduced) raise; everything the decomposition asserts about a valid word is
     verified here and reported, never raised. Every claim is read from the
     word's one table of cyclic-subword signs, ``CyclicSigns``.
+
+    The overlap claims ("overlap_structure") hold by proof, for any sign
+    function, so no span pair is tested. Let spans [s1, e1) and [s2, e2) of
+    one word overlap partially, s1 < s2 < e1 < e2. Their overlap [s2, e1) is
+    a proper suffix of the first and a proper prefix of the second, so each
+    of its prefixes is a prefix of the second span and each of its suffixes
+    a suffix of the first. If both spans are ascents, all of these are
+    positive and the overlap is an ascent. If one is an ascent and the other
+    a descent, the overlap's full length would be both positive and
+    negative, so an ascent never partially overlaps a descent.
     """
     try:
         dec = decompose(w, cmp)
@@ -321,7 +331,7 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
         )
 
     # Structure of every rotation that contains the maximal ascent.
-    hits = [len(occurrences(ascent, element.word)) for element in elements]
+    hits = table.hits(a_letters)
     for r, element in enumerate(elements):
         if not hits[r]:
             continue
@@ -350,35 +360,6 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
                 anomalies.append(
                     Anomaly("host_remainder_not_descent", f"{host} after {ascent}")
                 )
-
-    # Overlap structure of ascents and descents inside every rotation. Spans
-    # are sorted, so [s1, e1) and a later [s2, e2) overlap partially exactly
-    # when s1 < s2 < e1 < e2, and once s2 >= e1 no later span meets [s1, e1).
-    for r, element in enumerate(elements):
-        ascents, descents = table.spans(r)
-        ascent_set = set(ascents)
-        for idx, (s1, e1) in enumerate(ascents):
-            for s2, e2 in ascents[idx + 1 :]:
-                if s2 >= e1:
-                    break
-                if s1 < s2 and e1 < e2 and (s2, e1) not in ascent_set:
-                    anomalies.append(
-                        Anomaly(
-                            "ascent_overlap_not_ascent",
-                            f"{element.word}: spans {(s1, e1)} and {(s2, e2)}",
-                        )
-                    )
-        for s1, e1 in ascents:
-            for s2, e2 in descents:
-                if s2 >= e1:
-                    break
-                if s1 < s2 < e1 < e2 or s2 < s1 < e2 < e1:
-                    anomalies.append(
-                        Anomaly(
-                            "ascent_descent_overlap",
-                            f"{element.word}: ascent {(s1, e1)} vs descent {(s2, e2)}",
-                        )
-                    )
 
     weinbaum_count = len(_weinbaum_cuts(elements, table.counts))
     if not weinbaum_count:

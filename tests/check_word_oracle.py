@@ -2,12 +2,14 @@
 
 ``check_word``, ``_unaudited``, ``weinbaum_factorizations``, ``decompose``,
 ``maximal_ascent`` and ``_locate`` are copied verbatim from the library as it
-was before :class:`orderword.analysis.CyclicSigns` (only ``maximal_ascent``
-lost its ``"bruteforce"`` branch, which the library keeps unchanged). They
-rebuild every rotation's spans, prefix profiles and prefix counts from the
-primitives in ``orderword.words`` and ``orderword.analysis``, which this
-change did not touch. ``tests/test_check_word_parity.py`` asserts that the
-library's ``check_word`` reports exactly what this one does.
+was before :class:`orderword.analysis.CyclicSigns`. ``maximal_ascent`` keeps
+both of its algorithms: the library has only ``"peaklow"`` now, and
+``"bruteforce"``, which classifies every subword of every rotation, is the
+oracle the library's result is tested against. They rebuild every
+rotation's spans, prefix profiles and prefix counts from the primitives in
+``orderword.words`` and ``orderword.analysis``.
+``tests/test_check_word_parity.py`` asserts that the library's
+``check_word`` reports exactly what this one does.
 """
 
 from __future__ import annotations
@@ -53,15 +55,21 @@ def _locate(ascent_letters: tuple[Letter, ...], elements: tuple[Rotation, ...], 
 def maximal_ascent(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> MaximalAscent:
     """The unique order-largest ascent over all subwords of the rotation set of w.
 
+    ``algorithm="bruteforce"`` classifies every subword of every rotation;
     ``"peaklow"`` takes, per rotation, the slice from the low prefix to the
-    peak prefix; among rotations containing it, the first in rotation-set
-    order is reported as host.
+    peak prefix. Both must return the same word; among rotations containing
+    it, the first in rotation-set order is reported as host.
     """
     if len(w) == 0:
         raise ValueError("the empty word has no ascent")
     elements = rotation_set(w).elements
     candidates: set[tuple[Letter, ...]] = set()
-    if algorithm == "peaklow":
+    if algorithm == "bruteforce":
+        for element in elements:
+            letters = element.word.letters
+            spans, _ = ascent_descent_spans(element.word, cmp)
+            candidates.update(letters[i:j] for i, j in spans)
+    elif algorithm == "peaklow":
         for element in elements:
             profile = prefix_profile(element.word, cmp)
             if profile.low_index < profile.peak_index:

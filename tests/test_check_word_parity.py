@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ import check_word_oracle as oracle
 from orderword import (
     Decomposition,
     MagnusOrder,
+    ascent_descent_spans,
     check_word,
     decompose,
     enumerate_cyclically_reduced,
@@ -19,6 +21,7 @@ from orderword import (
     reduce,
 )
 from orderword import verify
+from wordgen import all_reduced
 
 
 def _classes(rank: int, top: int):
@@ -55,6 +58,30 @@ class CountThenReversedOrder(LexOrder):
 
     def _key(self, letters):
         return sum(1 for l in letters if l.generator == 1), _codes(letters[::-1])
+
+
+class RandomSignOrder(LexOrder):
+    """A seeded random sign per letter tuple, negated on its inverse.
+
+    It is antisymmetric, and not bi-invariant.
+    """
+
+    def __init__(self, rank, seed):
+        super().__init__(rank)
+        self.seed = seed
+        self._memo = {}
+
+    def _sign_letters(self, letters):
+        sign = self._memo.get(letters)
+        if sign is None:
+            mine, theirs = _codes(letters), _codes(_inverse(letters))
+            if mine == theirs:  # only the empty word is its own inverse
+                sign = 0
+            else:
+                sign = random.Random(f"{self.seed}:{min(mine, theirs)}").choice((1, -1))
+                sign = sign if mine < theirs else -sign
+            self._memo[letters] = sign
+        return sign
 
 
 def _assert_same(w, cmp):
@@ -118,3 +145,30 @@ def test_check_word_matches_oracle_on_wrong_decompositions(
         monkeypatch.setattr(module, "decompose", lambda word, cmp: fake)
     report = _assert_same(w, MagnusOrder(2))
     assert label in [anomaly["label"] for anomaly in report["anomalies"]]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_overlap_lemma_under_random_signs(seed):
+    # Partially overlapping ascents overlap in an ascent, and no ascent
+    # partially overlaps a descent, for any sign function.
+    cmp = RandomSignOrder(2, seed)
+    partial = 0
+    for n in range(1, 9):
+        for w in all_reduced(2, n):
+            ascents, descents = ascent_descent_spans(w, cmp)
+            for s1, e1 in ascents:
+                for s2, e2 in ascents:
+                    if s1 < s2 < e1 < e2:
+                        partial += 1
+                        assert (s2, e1) in ascents, (str(w), (s1, e1), (s2, e2))
+                for s2, e2 in descents:
+                    assert not (s1 < s2 < e1 < e2 or s2 < s1 < e2 < e1), (str(w), s1, e1)
+    assert partial
+    labels = Counter()
+    audited = 0
+    for w in _classes(2, 7):
+        report = _assert_same(w, cmp)
+        audited += report["decomposition"] is not None
+        labels.update(a["label"] for a in report["anomalies"])
+    assert audited
+    assert not {"ascent_overlap_not_ascent", "ascent_descent_overlap"} & set(labels)
