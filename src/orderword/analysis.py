@@ -9,7 +9,6 @@ that ascent to the front splits the word into ascent * descent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from .series import (
@@ -21,15 +20,17 @@ from .series import (
     _places,
 )
 from .words import (
+    FROM_INVERSE,
+    FROM_WORD,
     Letter,
     NotCyclicallyReducedError,
     Occurrence,
     Rotation,
     Word,
-    _prefix_counts,
+    _rotation_rows,
+    _unique_from,
     is_periodic,
     occurrences,
-    rotation_set,
 )
 
 class PeriodicWordError(ValueError):
@@ -102,34 +103,52 @@ class MagnusOrder:
         sign = self._signs.get(letters)
         return self._compare_letters(letters, ()) if sign is None else sign
 
+    def _prefix_signs(self, letters: tuple[Letter, ...]) -> list[int]:
+        """``[0]`` and then the sign of every nonempty prefix of letters.
+
+        Degree 1 of a word's image is its exponent-sum vector (Magnus 1935),
+        so a prefix takes the sign of its first nonzero sum in precedence
+        order. Only balanced prefixes reach the series kernel, in prefix
+        order, so an explicit cap raises where signing each prefix would.
+        """
+        place, sums, out = self._place, [0] * self.rank, [0]
+        for l, (generator, sign) in enumerate(letters, 1):
+            if generator >= len(place):
+                raise ValueError(f"generator {generator} outside rank {self.rank}")
+            sums[place[generator]] += sign
+            for total in sums:
+                if total:
+                    out.append(1 if total > 0 else -1)
+                    break
+            else:
+                out.append(self._sign_letters(letters[:l]))
+        return out
+
     def _cyclic_signs(self, w: Word) -> CyclicSigns:
         """The sign table of w, kept until a table of another word is asked for."""
         table = self._table
         if table is None or table.word != w:
-            table = self._table = CyclicSigns(w, self._sign_letters)
+            table = self._table = CyclicSigns(w, self._prefix_signs)
         return table
+
+
+def _monotone_word(u: Word, cmp: MagnusOrder, want: int) -> bool:
+    # u is nonempty and every nonempty prefix and suffix has sign want.
+    letters, sign = u.letters, cmp._sign_letters
+    n = len(letters)
+    return n > 0 and all(want * sign(letters[:i]) > 0 for i in range(1, n + 1)) and all(
+        want * sign(letters[i:]) > 0 for i in range(1, n)
+    )
 
 
 def is_ascent(u: Word, cmp: MagnusOrder) -> bool:
     """True iff u is nonempty and every nonempty prefix and suffix exceeds 1."""
-    letters = u.letters
-    n = len(letters)
-    if n == 0:
-        return False
-    return all(cmp._sign_letters(letters[:i]) > 0 for i in range(1, n + 1)) and all(
-        cmp._sign_letters(letters[i:]) > 0 for i in range(1, n)
-    )
+    return _monotone_word(u, cmp, 1)
 
 
 def is_descent(u: Word, cmp: MagnusOrder) -> bool:
     """True iff u is nonempty and every nonempty prefix and suffix is below 1."""
-    letters = u.letters
-    n = len(letters)
-    if n == 0:
-        return False
-    return all(cmp._sign_letters(letters[:i]) < 0 for i in range(1, n + 1)) and all(
-        cmp._sign_letters(letters[i:]) < 0 for i in range(1, n)
-    )
+    return _monotone_word(u, cmp, -1)
 
 
 @dataclass(frozen=True)
@@ -211,27 +230,34 @@ class CyclicSigns:
 
     ``sg[s][l]`` is the sign of the cyclic subword of w that starts at s and
     has length l, for 0 <= s < n and 1 <= l <= n (``sg[s][0]`` is the empty
-    word's 0). Rotation r of ``elements`` is w rotated by r for r < n and w^-1
+    word's 0), as ``prefix_signs`` gives it for ``rows[s]``. Row r holds the
+    letters of rotation-set element r: w rotated by r for r < n and w^-1
     rotated by r - n after that. Span [i, j) of a rotation of w^-1 is the
     inverse of the cyclic subword of w at ((-r - j) mod n, j - i), so its
     sign is the negative of that subword's, and it is an ascent exactly when
     that subword is a descent.
     """
 
-    def __init__(self, w: Word, sign: Callable[[tuple[Letter, ...]], int]) -> None:
+    def __init__(self, w: Word, prefix_signs: Callable[[tuple[Letter, ...]], list[int]]) -> None:
         self.word = w
-        self.elements = rotation_set(w).elements
-        letters = w.letters
-        n = self.n = len(letters)
-        doubled = letters + letters
-        self.sg = [[0] + [sign(doubled[s : s + l]) for l in range(1, n + 1)] for s in range(n)]
+        self.rows = _rotation_rows(w.letters)
+        n = self.n = len(w)
+        self.sg = [prefix_signs(self.rows[s]) for s in range(n)]
         # (low_index, peak_index) of each rotation's prefix_profile.
         self.low_peak = [self._low_peak(r) for r in range(2 * n)]
+        self.unique_from = _unique_from(self.rows)
 
-    @cached_property
-    def counts(self) -> dict[tuple[Letter, ...], int]:
-        """How many rotation-set elements each prefix of an element prefixes."""
-        return _prefix_counts(self.elements)
+    def element(self, r: int) -> Rotation:
+        """Rotation-set element r as a word with its origin."""
+        origin = FROM_WORD if r < self.n else FROM_INVERSE
+        return Rotation(Word(self.rows[r], self.word.rank), origin)
+
+    def unique(self, r: int, i: int, j: int) -> bool:
+        """True iff the nonempty span [i, j) of row r is uniquely positioned."""
+        # The span is a prefix of row r rotated by i within its half.
+        n = self.n
+        base = 0 if r < n else n
+        return j - i >= self.unique_from[base + (r - base + i) % n]
 
     def _monotone(self, s: int, l: int, want: int) -> bool:
         # Every prefix and every suffix of the cyclic subword (s, l) has sign want.
@@ -270,8 +296,7 @@ class CyclicSigns:
         n, m = self.n, len(pattern)
         counts = [0] * (2 * n)
         for base in (0, n):
-            letters = self.elements[base].word.letters
-            doubled = letters + letters
+            doubled = self.rows[base] * 2
             for p in range(n):
                 if doubled[p : p + m] == pattern:
                     for i in range(n - m + 1):
@@ -307,15 +332,6 @@ class MaximalAscent:
     occurrences: tuple[Occurrence, ...]
 
 
-def _locate(ascent_letters: tuple[Letter, ...], elements: tuple[Rotation, ...], rank: int):
-    target = Word(ascent_letters, rank)
-    for element in elements:
-        found = occurrences(target, element.word)
-        if found:
-            return MaximalAscent(target, element.word, element.origin, found)
-    raise AscentPlacementError("maximal ascent vanished from its own rotation set")
-
-
 def maximal_ascent(w: Word, cmp: MagnusOrder) -> MaximalAscent:
     """The unique order-largest ascent over all subwords of the rotation set of w.
 
@@ -326,11 +342,8 @@ def maximal_ascent(w: Word, cmp: MagnusOrder) -> MaximalAscent:
     if len(w) == 0:
         raise ValueError("the empty word has no ascent")
     table = cmp._cyclic_signs(w)
-    elements = table.elements
     candidates = {
-        element.word.letters[low:peak]
-        for element, (low, peak) in zip(elements, table.low_peak)
-        if low < peak
+        row[low:peak] for row, (low, peak) in zip(table.rows, table.low_peak) if low < peak
     }
     if not candidates:
         raise AscentPlacementError(f"no ascent found among subwords of {w!r}")
@@ -338,7 +351,12 @@ def maximal_ascent(w: Word, cmp: MagnusOrder) -> MaximalAscent:
     for candidate in candidates:
         if best is None or cmp._compare_letters(candidate, best) > 0:
             best = candidate
-    return _locate(best, elements, w.rank)
+    for r, count in enumerate(table.hits(best)):
+        if count:
+            target = Word(best, w.rank)
+            host, origin = table.element(r)
+            return MaximalAscent(target, host, origin, occurrences(target, host))
+    raise AscentPlacementError("maximal ascent vanished from its own rotation set")
 
 
 @dataclass(frozen=True)
@@ -375,11 +393,10 @@ def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
     table = cmp._cyclic_signs(w)
     ascent_letters = found.ascent.letters
     cut = len(ascent_letters)
-    for r, (chosen, origin) in enumerate(table.elements):
-        if chosen.letters[:cut] == ascent_letters:
-            break
-    else:
+    r = next((r for r, row in enumerate(table.rows) if row[:cut] == ascent_letters), None)
+    if r is None:
         raise AscentPlacementError(f"no rotation of {w!r} starts with the maximal ascent")
+    chosen, origin = table.element(r)
     descent = chosen[cut:]
     if len(descent) and not table.is_descent(r, cut, len(w)):
         raise InvariantViolationError(
@@ -393,5 +410,5 @@ def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
         descent=descent,
         ascent_occurrences=occurrences(found.ascent, chosen),
         # Uniquely positioned: a prefix of exactly one rotation-set element.
-        descent_unique=table.counts[descent.letters] == 1 if len(descent) else None,
+        descent_unique=table.unique(r, cut, len(w)) if len(descent) else None,
     )

@@ -355,7 +355,9 @@ def _first_difference(
     is x_i1^e1 ... x_ik^ek with adjacent generators distinct, its image has
     the coefficient e1*...*ek != 0 at X_i1...X_ik (Magnus 1935), so the
     images of lv and lw differ at degree k or below and only an explicit cap
-    can run out.
+    can run out. It is counted only once degree 2 ties too: a tie at degree 1
+    means every exponent sum of lw^-1 * lv is zero, so the word uses at least
+    two generators, each in at least two syllables, and its cap is at least 4.
     """
     cv = cw = ()
     degree = 1
@@ -368,11 +370,11 @@ def _first_difference(
         if a != b:
             first, _ = min(a.items() ^ b.items())
             return 1 if a.get(first, 0) > b.get(first, 0) else -1
-        if cap is None:
+        if cap is None and degree == 2:
             # Reversing lw keeps its generator sequence aligned with lw^-1, and
             # the junction with lv cannot cancel since the first letters differ.
             cap = _syllable_count(lw[::-1] + lv)
-        if degree >= cap:
+        if cap is not None and degree >= cap:
             raise UndecidedAtCapError(
                 f"distinct words compared equal up to the cap of degree {cap} "
                 f"(lengths {len(lv)} and {len(lw)} without common ends); raise the cap"

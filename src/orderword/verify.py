@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -32,9 +32,9 @@ from .series import UndecidedAtCapError
 from .words import (
     Letter,
     NotCyclicallyReducedError,
-    Rotation,
     Word,
-    _prefix_counts,
+    _rotation_rows,
+    _unique_from,
     inverse,
     is_monotonic,
     is_periodic,
@@ -222,30 +222,25 @@ def weinbaum_factorizations(w: Word) -> tuple[tuple[Word, Word], ...]:
         raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
     if is_periodic(w):
         raise PeriodicWordError(f"{w!r} is a proper power")
-    elements = rotation_set(w).elements
-    out = []
-    for r, cut in _weinbaum_cuts(elements, _prefix_counts(elements)):
-        letters = elements[r].word.letters
-        out.append((Word(letters[:cut], w.rank), Word(letters[cut:], w.rank)))
-    return tuple(out)
+    rows = _rotation_rows(w.letters)
+    return tuple(
+        (Word(rows[r][:cut], w.rank), Word(rows[r][cut:], w.rank))
+        for r, cut in _weinbaum_cuts(_unique_from(rows))
+    )
 
 
-def _weinbaum_cuts(
-    elements: tuple[Rotation, ...], counts: dict[tuple[Letter, ...], int]
-) -> list[tuple[int, int]]:
+def _weinbaum_cuts(unique_from: list[int]) -> list[tuple[int, int]]:
     """(r, cut) for each split of rotation r < n into uniquely positioned halves.
 
-    ``counts`` is :func:`_prefix_counts` of ``elements``; a word is uniquely
-    positioned when it prefixes exactly one element.
+    The tail is a prefix of row (r + cut) mod n; see ``words._unique_from``.
     """
-    n = len(elements) // 2
-    out = []
-    for r in range(n):
-        letters = elements[r].word.letters
-        for cut in range(1, n):
-            if counts[letters[:cut]] == 1 and counts[letters[cut:]] == 1:
-                out.append((r, cut))
-    return out
+    n = len(unique_from) // 2
+    return [
+        (r, cut)
+        for r in range(n)
+        for cut in range(1, n)
+        if cut >= unique_from[r] and n - cut >= unique_from[(r + cut) % n]
+    ]
 
 
 def _unaudited(w: Word, anomaly: Anomaly) -> WordReport:
@@ -287,15 +282,14 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
     anomalies: list[Anomaly] = []
     monotonic = is_monotonic(w)
     table = cmp._cyclic_signs(w)
-    elements, n = table.elements, table.n
-    ascent = dec.ascent
-    descent = dec.descent
+    rows, n = table.rows, table.n
+    ascent, descent = dec.ascent, dec.descent
     a_letters, size = ascent.letters, len(ascent)
 
     # The maximal ascent must be a prefix of exactly one rotation.
-    prefix_hits = table.counts.get(a_letters, 0)
-    ascent_unique = prefix_hits == 1
+    ascent_unique = table.unique(rows.index(dec.chosen.letters), 0, size)
     if not ascent_unique:
+        prefix_hits = sum(row[:size] == a_letters for row in rows)
         anomalies.append(
             Anomaly(
                 "ascent_not_uniquely_positioned",
@@ -332,10 +326,10 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
 
     # Structure of every rotation that contains the maximal ascent.
     hits = table.hits(a_letters)
-    for r, element in enumerate(elements):
+    for r, row in enumerate(rows):
         if not hits[r]:
             continue
-        host = element.word
+        host = Word(row, w.rank)
         if table.sign(r, 0, n) <= 0:
             anomalies.append(Anomaly("host_not_positive", f"{host} contains {ascent}"))
         if hits[r] != 1:
@@ -348,20 +342,20 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
                 Anomaly("ascent_in_inverse_host", f"{ascent} also occurs in {inverse(host)}")
             )
         low, peak = table.low_peak[r]
-        if not (low < peak and host.letters[low:peak] == a_letters):
+        if not (low < peak and row[low:peak] == a_letters):
             anomalies.append(
                 Anomaly(
                     "peak_low_slice_mismatch",
                     f"host {host}: low {low}, peak {peak}, ascent {ascent}",
                 )
             )
-        if host.letters[:size] == a_letters and n > size:
+        if row[:size] == a_letters and n > size:
             if not table.is_descent(r, size, n):
                 anomalies.append(
                     Anomaly("host_remainder_not_descent", f"{host} after {ascent}")
                 )
 
-    weinbaum_count = len(_weinbaum_cuts(elements, table.counts))
+    weinbaum_count = len(_weinbaum_cuts(table.unique_from))
     if not weinbaum_count:
         anomalies.append(Anomaly("no_weinbaum_factorization", str(w)))
 
@@ -404,23 +398,7 @@ class CampaignReport:
     duration_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "rank": self.rank,
-            "min_length": self.min_length,
-            "max_length": self.max_length,
-            "order": self.order,
-            "dedup": self.dedup,
-            "checks": list(self.checks),
-            "words_checked": self.words_checked,
-            "words_checked_by_length": dict(self.words_checked_by_length),
-            "nonperiodic_count": self.nonperiodic_count,
-            "anomaly_count": self.anomaly_count,
-            "weinbaum_min": self.weinbaum_min,
-            "descent_ratio_histogram": dict(self.descent_ratio_histogram),
-            "counterexamples": list(self.counterexamples),
-            "duration_seconds": self.duration_seconds,
-        }
+        return asdict(self)
 
 
 def write_report(report: CampaignReport, path: str) -> None:

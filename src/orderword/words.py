@@ -53,11 +53,7 @@ class Word:
                 )
             if letter.sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
-            if (
-                prev is not None
-                and prev.generator == letter.generator
-                and prev.sign == -letter.sign
-            ):
+            if prev is not None and prev.generator == letter.generator and prev.sign != letter.sign:
                 raise ValueError("word is not freely reduced; use reduce()")
             prev = letter
 
@@ -240,17 +236,15 @@ def rotation_set(w: Word) -> RotationSet:
     """
     if not w.is_cyclically_reduced:
         raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
-    elements = []
-    for source, origin in ((w, FROM_WORD), (inverse(w), FROM_INVERSE)):
-        letters = source.letters
-        for i in range(len(letters)):
-            elements.append(Rotation(Word(letters[i:] + letters[:i], w.rank), origin))
-    return RotationSet(host=w, elements=tuple(elements))
+    origins = [FROM_WORD] * len(w) + [FROM_INVERSE] * len(w)
+    rows = _rotation_rows(w.letters)
+    return RotationSet(w, tuple(Rotation(Word(row, w.rank), o) for row, o in zip(rows, origins)))
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _rotation_rows(letters: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
+    """The rotation set's elements as letters: w rotated by r, then w^-1 rotated by r."""
+    inv = tuple(Letter(g, -s) for g, s in reversed(letters))
+    return [source[r:] + source[:r] for source in (letters, inv) for r in range(len(letters))]
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:
@@ -259,8 +253,8 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     if n == 0:
         raise ValueError("the empty word has no primitive root")
     letters = w.letters
-    for d in _divisors(n):
-        if letters == letters[:d] * (n // d):
+    for d in range(1, n + 1):
+        if n % d == 0 and letters == letters[:d] * (n // d):
             return w[:d], n // d
     raise AssertionError("unreachable: every word is its own power")
 
@@ -331,15 +325,23 @@ def _prefix_count(u_letters: tuple[Letter, ...], elements: Iterable[Rotation]) -
     return sum(1 for e in elements if e.word.letters[:n] == u_letters)
 
 
-def _prefix_counts(elements: Iterable[Rotation]) -> dict[tuple[Letter, ...], int]:
-    """For every nonempty prefix of an element, the :func:`_prefix_count` of it."""
-    counts: dict[tuple[Letter, ...], int] = {}
-    for e in elements:
-        letters = e.word.letters
-        for end in range(1, len(letters) + 1):
-            key = letters[:end]
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def _unique_from(rows: list[tuple[Letter, ...]]) -> list[int]:
+    """``u[r]``: a length-l prefix of rows[r] is uniquely positioned iff l >= u[r].
+
+    u[r] is 1 + the longest common prefix of row r with any other row, which
+    is reached at a sorted neighbour: rows sorted between two rows share
+    their common prefix. A row equal to another (periodic words) gets n + 1.
+    """
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    u = [1] * len(rows)
+    for r, s in zip(order, order[1:]):
+        a, b = rows[r], rows[s]
+        k = 0
+        while k < len(a) and a[k] == b[k]:
+            k += 1
+        u[r] = max(u[r], k + 1)
+        u[s] = max(u[s], k + 1)
+    return u
 
 
 def uniquely_positioned(u: Word, w: Word) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -33,8 +34,9 @@ from orderword import (
     uniquely_positioned,
 )
 from orderword.analysis import CyclicSigns
-from orderword.verify import enumerate_cyclically_reduced
-from orderword.words import _prefix_count
+from orderword.series import UndecidedAtCapError
+from orderword.verify import check_word, enumerate_cyclically_reduced, weinbaum_factorizations
+from orderword.words import _prefix_count, _rotation_rows, _unique_from
 from wordgen import all_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
@@ -173,26 +175,78 @@ def test_spans_agree_with_pointwise_classification(order):
                 assert ((i, j) in descents) == is_descent(piece, order)
 
 
+def per_slice(cmp):
+    """Prefix-sign rows that sign every prefix on its own through the kernel."""
+    return lambda row: [0] + [cmp._sign_letters(row[:l]) for l in range(1, len(row) + 1)]
+
+
 def test_cyclic_signs_match_every_rotation(order, swapped):
     # Periodic words and length one included: maximal_ascent reads the table too.
     for cmp in (order, swapped):
         for n in range(1, 7):
             for w in enumerate_cyclically_reduced(2, n):
-                table = CyclicSigns(w, cmp._sign_letters)
-                assert table.elements == rotation_set(w).elements
-                for r, element in enumerate(table.elements):
+                table = CyclicSigns(w, cmp._prefix_signs)
+                elements = rotation_set(w).elements
+                assert [table.element(r) for r in range(2 * n)] == list(elements)
+                assert table.rows == [e.word.letters for e in elements]
+                for r, element in enumerate(elements):
                     host = element.word
                     descents = ascent_descent_spans(host, cmp)[1]
                     profile = prefix_profile(host, cmp)
                     assert table.low_peak[r] == (profile.low_index, profile.peak_index)
                     for i in range(n):
-                        assert table.counts[host.letters[: i + 1]] == _prefix_count(
-                            host.letters[: i + 1], table.elements
-                        )
                         for j in range(i + 1, n + 1):
                             piece = host[i:j]
                             assert table.sign(r, i, j) == cmp.sign(piece)
                             assert table.is_descent(r, i, j) == ((i, j) in descents)
+                            assert table.unique(r, i, j) == (
+                                _prefix_count(piece.letters, elements) == 1
+                            )
+
+
+@pytest.mark.parametrize("rank, top", [(2, 8), (3, 5)])
+def test_exponent_sum_table_matches_per_slice_table(rank, top):
+    # Every precedence, the default cap and caps 1-3: the same cells, or the
+    # same UndecidedAtCapError text.
+    undecided = 0
+    for precedence in itertools.permutations(range(1, rank + 1)):
+        for cap in (None, 1, 2, 3):
+            fast = MagnusOrder(rank, precedence=precedence, cap=cap)
+            slow = MagnusOrder(rank, precedence=precedence, cap=cap)
+            for n in range(1, top + 1):
+                for w in enumerate_cyclically_reduced(rank, n, dedup="rotation_class"):
+                    try:
+                        want = CyclicSigns(w, per_slice(slow)).sg
+                    except UndecidedAtCapError as exc:
+                        with pytest.raises(UndecidedAtCapError) as got:
+                            CyclicSigns(w, fast._prefix_signs)
+                        assert str(got.value) == str(exc), str(w)
+                        undecided += 1
+                        continue
+                    assert CyclicSigns(w, fast._prefix_signs).sg == want, (str(w), cap)
+            # Only balanced prefixes reached the kernel's sign memo.
+            for letters in fast._signs:
+                assert all(
+                    sum(l.sign for l in letters if l.generator == g) == 0
+                    for g in range(1, rank + 1)
+                ), letters
+    assert undecided
+
+
+@pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])
+def test_unique_from_matches_prefix_counts(rank, top):
+    # Periodic words and length one included; every row and every length.
+    cmp = MagnusOrder(rank)
+    for n in range(1, top + 1):
+        for w in enumerate_cyclically_reduced(rank, n):
+            elements = rotation_set(w).elements
+            rows = _rotation_rows(w.letters)
+            u = _unique_from(rows)
+            for r, row in enumerate(rows):
+                for l in range(1, n + 1):
+                    assert (l >= u[r]) == (_prefix_count(row[:l], elements) == 1), (str(w), r, l)
+            if n > 1 and not is_periodic(w):
+                assert len(weinbaum_factorizations(w)) == check_word(w, cmp).weinbaum_count
 
 
 @pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])
@@ -203,17 +257,18 @@ def test_cyclic_hits_match_occurrences(rank, top):
         for w in enumerate_cyclically_reduced(rank, n):
             if is_periodic(w):
                 continue
-            table = CyclicSigns(w, lambda letters: 0)
+            table = CyclicSigns(w, lambda row: [0] * (len(row) + 1))
+            elements = rotation_set(w).elements
             patterns = {
                 (e.word.letters * 2)[s : s + l]
-                for e in table.elements[::n]
+                for e in elements[::n]
                 for s in range(n)
                 for l in range(1, n + 1)
             }
             for pattern in patterns:
                 target = Word(pattern, rank)
                 assert table.hits(pattern) == [
-                    len(occurrences(target, e.word)) for e in table.elements
+                    len(occurrences(target, e.word)) for e in elements
                 ], (str(w), str(target))
 
 

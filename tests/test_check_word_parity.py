@@ -52,6 +52,11 @@ class LexOrder(MagnusOrder):
     def _compare_letters(self, lv, lw):
         return self._sign_letters(reduce(_inverse(lw) + lv, self.rank).letters)
 
+    def _prefix_signs(self, letters):
+        # Sign each prefix on its own: the exponent-sum rows are the Magnus
+        # order's, not this one's.
+        return [0] + [self._sign_letters(letters[:l]) for l in range(1, len(letters) + 1)]
+
 
 class CountThenReversedOrder(LexOrder):
     """Another one: count the letters a and A, then compare reversed codes."""
@@ -90,6 +95,15 @@ def _assert_same(w, cmp):
     return got
 
 
+def _assert_own_signs(w, cmp):
+    # Every cell of the table the audit read is the order's own sign.
+    table = cmp._cyclic_signs(w)
+    doubled = w.letters * 2
+    for s in range(len(w)):
+        for l in range(1, len(w) + 1):
+            assert table.sg[s][l] == cmp._sign_letters(doubled[s : s + l]), (str(w), s, l)
+
+
 @pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])
 @pytest.mark.parametrize("swap", [False, True], ids=["canonical", "swapped"])
 def test_check_word_matches_oracle(rank, top, swap):
@@ -107,6 +121,7 @@ def test_check_word_matches_oracle_without_bi_invariance(order_type):
         cmp = order_type(rank)
         for w in _classes(rank, top):
             report = _assert_same(w, cmp)
+            _assert_own_signs(w, cmp)
             labels.update(a["label"] for a in report["anomalies"])
     # The parity covers the claims such an order breaks.
     assert {
@@ -168,6 +183,7 @@ def test_overlap_lemma_under_random_signs(seed):
     audited = 0
     for w in _classes(2, 7):
         report = _assert_same(w, cmp)
+        _assert_own_signs(w, cmp)
         audited += report["decomposition"] is not None
         labels.update(a["label"] for a in report["anomalies"])
     assert audited

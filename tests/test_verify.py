@@ -313,6 +313,22 @@ def test_campaign_error_names_the_word(monkeypatch):
         assert any("aab" in note for note in excinfo.value.__notes__)
 
 
+def test_serial_campaign_calls_check_word_through_the_module(monkeypatch):
+    # A benchmark times each campaign word by patching verify.check_word, so
+    # every checked word must go through that module global.
+    real = verify.check_word
+    calls = []
+
+    def counted(w, cmp, check_monotonic=True):
+        calls.append(w)
+        return real(w, cmp, check_monotonic=check_monotonic)
+
+    monkeypatch.setattr(verify, "check_word", counted)
+    report = run_campaign(2, 2, 6, workers=1)
+    assert report.words_checked > 0
+    assert len(calls) == report.words_checked
+
+
 def test_campaign_validation():
     with pytest.raises(ValueError):
         run_campaign(2, 3, 2)
