@@ -24,13 +24,11 @@ from .words import (
     FROM_WORD,
     Letter,
     NotCyclicallyReducedError,
-    Occurrence,
     Rotation,
     Word,
     _rotation_rows,
     _unique_from,
     is_periodic,
-    occurrences,
 )
 
 class PeriodicWordError(ValueError):
@@ -329,7 +327,6 @@ class MaximalAscent:
     ascent: Word
     host: Word
     origin: str
-    occurrences: tuple[Occurrence, ...]
 
 
 def maximal_ascent(w: Word, cmp: MagnusOrder) -> MaximalAscent:
@@ -353,9 +350,7 @@ def maximal_ascent(w: Word, cmp: MagnusOrder) -> MaximalAscent:
             best = candidate
     for r, count in enumerate(table.hits(best)):
         if count:
-            target = Word(best, w.rank)
-            host, origin = table.element(r)
-            return MaximalAscent(target, host, origin, occurrences(target, host))
+            return MaximalAscent(Word(best, w.rank), *table.element(r))
     raise AscentPlacementError("maximal ascent vanished from its own rotation set")
 
 
@@ -368,7 +363,6 @@ class Decomposition:
     origin: str
     ascent: Word
     descent: Word
-    ascent_occurrences: tuple[Occurrence, ...]
     descent_unique: bool | None
 
     @property
@@ -408,7 +402,6 @@ def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
         origin=origin,
         ascent=found.ascent,
         descent=descent,
-        ascent_occurrences=occurrences(found.ascent, chosen),
         # Uniquely positioned: a prefix of exactly one rotation-set element.
         descent_unique=table.unique(r, cut, len(w)) if len(descent) else None,
     )

@@ -13,6 +13,10 @@ from .words import _MAX_TEXT_GENERATORS, parse_word, uniquely_positioned
 # Largest number of monomials, sum of rank**d over d <= degree, that
 # ``series --degree`` may expand: degree 18 at rank 2, 12 at rank 3.
 MAX_SERIES_TERMS = 1_000_000
+# Largest ``series --degree`` at any rank. The reference product takes time
+# cubic in the degree, and at rank 1 the monomial count alone would allow
+# degree 999,999; from rank 2 on that count stops first.
+MAX_SERIES_DEGREE = 64
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,9 +80,11 @@ def _order(args: argparse.Namespace) -> MagnusOrder:
 
 
 def _check_series_size(rank: int, degree: int) -> None:
-    """Reject a degree whose series could hold more than MAX_SERIES_TERMS monomials."""
+    """Reject a degree above MAX_SERIES_DEGREE or with over MAX_SERIES_TERMS monomials."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if degree > MAX_SERIES_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the ceiling of {MAX_SERIES_DEGREE}")
     terms, power = 0, 1
     for _ in range(degree + 1):
         terms += power
@@ -124,10 +130,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     word = parse_word(args.word, args.rank)
     report = check_word(word, _order(args), check_monotonic=not args.swap_order)
-    dec = report.decomposition_summary
+    dec = report.decomposition
     print(f"word: {word}")
     if dec is not None:
-        print(f"W' = {dec['chosen']} ({dec['origin']}), A = {dec['ascent']}, D = {dec['descent']}")
+        print(f"W' = {dec.chosen} ({dec.origin}), A = {dec.ascent}, D = {dec.descent}")
     print(f"A uniquely positioned: {_yesno(report.ascent_uniquely_positioned)}")
     print(f"D status: {report.descent_status}")
     print(f"monotonic: {_yesno(report.monotonic)}")

@@ -21,6 +21,7 @@ from typing import Iterator
 # prefix_profile; the name stays bound here for perfbench's self-check.
 from .analysis import (  # noqa: F401
     AscentPlacementError,
+    Decomposition,
     InvariantViolationError,
     LengthOneError,
     MagnusOrder,
@@ -61,7 +62,7 @@ class WordReport:
     """Everything check_word established about one word."""
 
     word: Word
-    decomposition_summary: dict | None
+    decomposition: Decomposition | None
     ascent_uniquely_positioned: bool | None
     descent_status: str | None  # "unique" | "internal_in_A" | "empty"
     monotonic: bool
@@ -73,10 +74,20 @@ class WordReport:
         return not self.anomalies
 
     def to_dict(self) -> dict:
+        dec = self.decomposition
         return {
             "word": str(self.word),
             "length": len(self.word),
-            "decomposition": self.decomposition_summary,
+            "decomposition": None
+            if dec is None
+            else {
+                "source": str(dec.source),
+                "chosen": str(dec.chosen),
+                "origin": dec.origin,
+                "ascent": str(dec.ascent),
+                "descent": str(dec.descent),
+                "descent_unique": dec.descent_unique,
+            },
             "ascent_uniquely_positioned": self.ascent_uniquely_positioned,
             "descent_status": self.descent_status,
             "monotonic": self.monotonic,
@@ -247,7 +258,7 @@ def _unaudited(w: Word, anomaly: Anomaly) -> WordReport:
     """Report on a word whose decomposition could not be audited."""
     return WordReport(
         word=w,
-        decomposition_summary=None,
+        decomposition=None,
         ascent_uniquely_positioned=None,
         descent_status=None,
         monotonic=is_monotonic(w),
@@ -361,14 +372,7 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
 
     return WordReport(
         word=w,
-        decomposition_summary={
-            "source": str(dec.source),
-            "chosen": str(dec.chosen),
-            "origin": dec.origin,
-            "ascent": str(dec.ascent),
-            "descent": str(dec.descent) if dec.descent else "1",
-            "descent_unique": dec.descent_unique,
-        },
+        decomposition=dec,
         ascent_uniquely_positioned=ascent_unique,
         descent_status=descent_status,
         monotonic=monotonic,
@@ -408,13 +412,10 @@ def write_report(report: CampaignReport, path: str) -> None:
 
 
 def _summary(report: WordReport) -> tuple:
-    dec = report.decomposition_summary
-    descent_len = None
-    if dec is not None:
-        descent_len = 0 if dec["descent"] == "1" else len(dec["descent"])
+    dec = report.decomposition
     return (
         len(report.word),
-        descent_len,
+        None if dec is None else len(dec.descent),
         report.weinbaum_count,
         report.to_dict() if report.anomalies else None,
         len(report.anomalies),
@@ -448,22 +449,19 @@ def run_campaign(
     out_path: str | None = None,
     dedup: str = "rotation_class",
     cap: int | None = None,
-    check_monotonic: bool | None = None,
 ) -> CampaignReport:
     """Check every nonperiodic cyclically reduced word in a length range.
 
-    The monotonicity check runs only under the canonical variable precedence
-    unless forced via ``check_monotonic``. Report content is independent of
-    ``workers``, except the wall-clock ``duration_seconds``.
+    The monotonicity check runs only under the canonical variable precedence.
+    Report content is independent of ``workers``, except the wall-clock
+    ``duration_seconds``.
     """
     if not 1 <= min_length <= max_length:
         raise ValueError("need 1 <= min_length <= max_length")
     if workers < 1:
         raise ValueError("workers must be positive")
     order = MagnusOrder(rank, precedence=precedence, cap=cap).description
-    canonical = precedence is None or tuple(precedence) == tuple(range(1, rank + 1))
-    if check_monotonic is None:
-        check_monotonic = canonical
+    check_monotonic = precedence is None or tuple(precedence) == tuple(range(1, rank + 1))
 
     started = time.perf_counter()
     todo: list[tuple[Letter, ...]] = []

@@ -302,24 +302,6 @@ def occurrences(pattern: Word, host: Word) -> tuple[Occurrence, ...]:
     return tuple(found)
 
 
-def _intervals_overlap(s1: int, e1: int, s2: int, e2: int) -> bool:
-    # Partial overlap only: nonempty intersection, neither interval inside the other.
-    if max(s1, s2) >= min(e1, e2):
-        return False
-    if s1 <= s2 and e2 <= e1:
-        return False
-    if s2 <= s1 and e1 <= e2:
-        return False
-    return True
-
-
-def overlap_between(first: Occurrence, second: Occurrence) -> bool:
-    """True iff the two occurrences partially overlap (neither contains the other)."""
-    if first.host != second.host:
-        raise ValueError("occurrences live in different hosts")
-    return _intervals_overlap(first.start, first.end, second.start, second.end)
-
-
 def _prefix_count(u_letters: tuple[Letter, ...], elements: Iterable[Rotation]) -> int:
     n = len(u_letters)
     return sum(1 for e in elements if e.word.letters[:n] == u_letters)

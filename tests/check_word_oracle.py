@@ -1,8 +1,9 @@
 """The per-word audit as it was before it read one table of signs: a test oracle.
 
 ``check_word``, ``_unaudited``, ``weinbaum_factorizations``, ``decompose``,
-``maximal_ascent`` and ``_locate`` are copied verbatim from the library as it
-was before :class:`orderword.analysis.CyclicSigns`. ``maximal_ascent`` keeps
+``maximal_ascent`` and ``_locate`` are copied from the library as it was
+before :class:`orderword.analysis.CyclicSigns`, with the decomposition
+records as the library has them now. ``maximal_ascent`` keeps
 both of its algorithms: the library has only ``"peaklow"`` now, and
 ``"bruteforce"``, which classifies every subword of every rotation, is the
 oracle the library's result is tested against. They rebuild every
@@ -32,7 +33,6 @@ from orderword.words import (
     NotCyclicallyReducedError,
     Rotation,
     Word,
-    _intervals_overlap,
     _prefix_count,
     inverse,
     is_monotonic,
@@ -43,12 +43,22 @@ from orderword.words import (
 )
 
 
+def _intervals_overlap(s1: int, e1: int, s2: int, e2: int) -> bool:
+    # Partial overlap only: nonempty intersection, neither interval inside the other.
+    if max(s1, s2) >= min(e1, e2):
+        return False
+    if s1 <= s2 and e2 <= e1:
+        return False
+    if s2 <= s1 and e1 <= e2:
+        return False
+    return True
+
+
 def _locate(ascent_letters: tuple[Letter, ...], elements: tuple[Rotation, ...], rank: int):
     target = Word(ascent_letters, rank)
     for element in elements:
-        found = occurrences(target, element.word)
-        if found:
-            return MaximalAscent(target, element.word, element.origin, found)
+        if occurrences(target, element.word):
+            return MaximalAscent(target, element.word, element.origin)
     raise AscentPlacementError("maximal ascent vanished from its own rotation set")
 
 
@@ -119,7 +129,6 @@ def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decompos
         origin=origin,
         ascent=found.ascent,
         descent=descent,
-        ascent_occurrences=occurrences(found.ascent, chosen),
         descent_unique=uniquely_positioned(descent, w) if len(descent) else None,
     )
 
@@ -160,7 +169,7 @@ def _unaudited(w: Word, anomaly: Anomaly) -> WordReport:
     """Report on a word whose decomposition could not be audited."""
     return WordReport(
         word=w,
-        decomposition_summary=None,
+        decomposition=None,
         ascent_uniquely_positioned=None,
         descent_status=None,
         monotonic=is_monotonic(w),
@@ -290,14 +299,7 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
 
     return WordReport(
         word=w,
-        decomposition_summary={
-            "source": str(dec.source),
-            "chosen": str(dec.chosen),
-            "origin": dec.origin,
-            "ascent": str(dec.ascent),
-            "descent": str(dec.descent) if dec.descent else "1",
-            "descent_unique": dec.descent_unique,
-        },
+        decomposition=dec,
         ascent_uniquely_positioned=ascent_unique,
         descent_status=descent_status,
         monotonic=monotonic,

@@ -293,13 +293,6 @@ def test_maximal_ascent_goldens(order):
     assert (str(found.ascent), found.origin) == ("aabab", FROM_WORD)
 
 
-def test_maximal_ascent_occurrences_are_positioned(order):
-    found = maximal_ascent(P("abAB"), order)
-    assert len(found.occurrences) == 1
-    assert found.occurrences[0].is_prefix
-    assert found.occurrences[0].word() == found.ascent
-
-
 def test_maximal_ascent_validation(order):
     with pytest.raises(ValueError):
         maximal_ascent(identity(2), order)
@@ -395,7 +388,6 @@ def test_decompose_invariants_exhaustive(order):
                 (e.word, e.origin) for e in rotation_set(w).elements
             ]
             assert (dec.chosen, dec.origin) in members
-            assert dec.ascent_occurrences[0].is_prefix
             if dec.descent_empty:
                 assert dec.descent_unique is None
             else:

@@ -16,7 +16,6 @@ from orderword import (
     decompose,
     enumerate_cyclically_reduced,
     is_periodic,
-    occurrences,
     parse_word,
     reduce,
 )
@@ -153,7 +152,6 @@ def test_check_word_matches_oracle_on_wrong_decompositions(
         origin="fromW",
         ascent=a,
         descent=d,
-        ascent_occurrences=occurrences(a, chosen),
         descent_unique=True,
     )
     for module in (verify, oracle):

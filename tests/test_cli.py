@@ -44,10 +44,20 @@ def test_series_degree_bounded_by_monomial_count(capsys):
     assert code == 2
     assert out == ""
     assert "monomials" in err
-    for rank, largest in ((1, 999_999), (2, 18), (3, 12)):
+    for rank, largest in ((1, cli.MAX_SERIES_DEGREE), (2, 18), (3, 12)):
         cli._check_series_size(rank, largest)
         with pytest.raises(ValueError):
             cli._check_series_size(rank, largest + 1)
+
+
+def test_series_degree_ceiling_refuses_rank_one_before_expanding(capsys):
+    # At rank 1 the monomial count alone would allow degree 999,999, and the
+    # reference product takes time cubic in the degree.
+    code, out, err = run(capsys, "series", "AA", "--rank", "1", "--degree", "999999")
+    assert (code, out) == (2, "")
+    assert "ceiling" in err
+    # From rank 2 on the monomial count stops first, so the ceiling never binds.
+    assert cli.MAX_SERIES_DEGREE > 18
 
 
 # ---------------------------------------------------------------- compare

@@ -29,7 +29,7 @@ from orderword import (
     series_text,
     truncate,
 )
-from orderword.series import _components, _places
+from orderword.series import _components, _first_difference, _places
 from wordgen import all_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
@@ -315,6 +315,27 @@ def test_undecided_at_cap_is_loud():
     # Common ends cancel first, so B*abAB*A against B*A is the same question.
     with pytest.raises(UndecidedAtCapError):
         MagnusOrder(2, cap=1).compare(P("BabABA"), P("BA"))
+
+
+@pytest.mark.parametrize("precedence", [None, (2, 1)], ids=["canonical", "swapped"])
+def test_commutators_decide_at_their_weight(precedence):
+    # The left-normed commutator c_k = [c_(k-1), b], c_1 = a, lies in the k-th
+    # term of the lower central series and not in the next, so its image is
+    # 1 + (a nonzero degree-k part) + higher terms (Magnus 1935).
+    place = _places(precedence, 2)
+    c = P("a")
+    for k in range(1, 8):
+        if k > 1:
+            c = concat(c, P("b"), inverse(c), P("B"))
+        store = {}
+        assert _first_difference(c.letters, (), None, place, store) in (1, -1)
+        components = store[c.letters]
+        assert len(components) == k + 1, k  # grown through degree k, no further
+        assert not any(components[1:k]) and components[k], k
+        if k > 1:
+            with pytest.raises(UndecidedAtCapError):
+                _first_difference(c.letters, (), k - 1, place, {})
+    assert len(c) == 128
 
 
 def test_order_matches_reference_series():

@@ -1,4 +1,4 @@
-"""Every name a library module imports is used there, or marked as kept on purpose."""
+"""Every name a library module, test or demo imports is used there, or marked as kept."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "orderword"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "orderword").glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -29,7 +30,11 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path",
+    MODULES + SCRIPTS,
+    ids=[p.name for p in MODULES] + [str(p.relative_to(ROOT)) for p in SCRIPTS],
+)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 

