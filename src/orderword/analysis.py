@@ -278,6 +278,11 @@ class CyclicSigns:
         s, l, flip = self._cell(r, i, j)
         return flip * self.sg[s][l]
 
+    def is_ascent(self, r: int, i: int, j: int) -> bool:
+        """True iff the nonempty span [i, j) of rotation r is an ascent."""
+        s, l, flip = self._cell(r, i, j)
+        return self._monotone(s, l, flip)
+
     def is_descent(self, r: int, i: int, j: int) -> bool:
         """True iff the nonempty span [i, j) of rotation r is a descent."""
         s, l, flip = self._cell(r, i, j)

@@ -13,9 +13,9 @@ from .words import _MAX_TEXT_GENERATORS, parse_word, uniquely_positioned
 # Largest number of monomials, sum of rank**d over d <= degree, that
 # ``series --degree`` may expand: degree 18 at rank 2, 12 at rank 3.
 MAX_SERIES_TERMS = 1_000_000
-# Largest ``series --degree`` at any rank. The reference product takes time
-# cubic in the degree, and at rank 1 the monomial count alone would allow
-# degree 999,999; from rank 2 on that count stops first.
+# Largest ``series --degree`` at any rank. At rank 1 the monomial count alone
+# would allow degree 999,999, and the kernel's cost grows with letters times
+# degree (one component each); from rank 2 on that count stops first.
 MAX_SERIES_DEGREE = 64
 
 
@@ -129,7 +129,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     word = parse_word(args.word, args.rank)
-    report = check_word(word, _order(args), check_monotonic=not args.swap_order)
+    report = check_word(word, _order(args))
     dec = report.decomposition
     print(f"word: {word}")
     if dec is not None:

@@ -4,9 +4,10 @@ A series is a finite dict from monomials to exact ints, truncated at a total
 degree bound. Generator i maps to 1 + X_i, its inverse to the alternating
 geometric series 1 - X_i + X_i^2 - ..., so inverse pairs telescope to 1
 exactly at every bound. Comparing two series coefficient-by-coefficient along
-a fixed monomial enumeration gives a total order on words; the order itself
-grows word images one homogeneous component at a time and stops at the first
-degree where they differ.
+a fixed monomial enumeration gives a total order on words. Word images are
+grown one homogeneous component at a time by one kernel, :func:`_components`:
+the order stops at the first degree where two images differ, and :func:`mu`
+reads an image through its bound.
 """
 
 from __future__ import annotations
@@ -70,26 +71,6 @@ class TruncatedSeries:
         return self.coefficients.get(monomial, 0)
 
 
-def one(rank: int, degree_bound: int) -> TruncatedSeries:
-    """The multiplicative identity series."""
-    return TruncatedSeries(rank, degree_bound, {(): 1})
-
-
-def atom_series(generator: int, sign: int, rank: int, degree_bound: int) -> TruncatedSeries:
-    """Series image of a single letter: 1 + X_g, or its inverse 1 - X_g + X_g^2 - ..."""
-    if not 1 <= generator <= rank:
-        raise ValueError(f"generator {generator} outside rank {rank}")
-    if sign == 1:
-        coeffs = {(): 1}
-        if degree_bound >= 1:
-            coeffs[(generator,)] = 1
-    elif sign == -1:
-        coeffs = {(generator,) * d: (-1) ** d for d in range(degree_bound + 1)}
-    else:
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return TruncatedSeries(rank, degree_bound, coeffs)
-
-
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Noncommutative product, truncated at min of the two bounds."""
     if a.rank != b.rank:
@@ -112,25 +93,6 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
                 elif key in coeffs:
                     del coeffs[key]
     return TruncatedSeries(a.rank, bound, coeffs)
-
-
-def truncate(s: TruncatedSeries, degree_bound: int) -> TruncatedSeries:
-    """Drop all terms above a (smaller or equal) degree bound."""
-    if degree_bound > s.degree_bound:
-        raise ValueError("cannot extend a truncated series")
-    return TruncatedSeries(
-        s.rank,
-        degree_bound,
-        {m: c for m, c in s.coefficients.items() if len(m) <= degree_bound},
-    )
-
-
-def mu(w: Word, degree_bound: int) -> TruncatedSeries:
-    """Series image of a word: the product of its letters' atom series."""
-    acc = one(w.rank, degree_bound)
-    for letter in w.letters:
-        acc = mul(acc, atom_series(letter.generator, letter.sign, w.rank, degree_bound))
-    return acc
 
 
 def _check_precedence(precedence: tuple[int, ...] | None, rank: int) -> tuple[int, ...]:
@@ -209,49 +171,6 @@ def series_text(s: TruncatedSeries, precedence: tuple[int, ...] | None = None) -
                 chunks.append(("- " if coeff < 0 else "+ ") + body)
         rendered = " ".join(chunks)
     return f"{rendered} + O({s.degree_bound + 1})"
-
-
-class MuCache:
-    """Memo of truncated word images, keyed by bound and grown one letter at a time.
-
-    Looking up a word at a bound reuses the longest cached prefix, so scanning
-    the prefixes of a word costs one series multiplication per letter. The
-    word order does not use it: it grows homogeneous components instead (see
-    :func:`_components`).
-    """
-
-    def __init__(self, max_entries: int = 500_000) -> None:
-        self._store: dict[tuple[int, tuple[Letter, ...]], TruncatedSeries] = {}
-        self._max_entries = max_entries
-        self._rank: int | None = None
-
-    def mu_of(self, letters: tuple[Letter, ...], rank: int, bound: int) -> TruncatedSeries:
-        if self._rank is None:
-            self._rank = rank
-        elif self._rank != rank:
-            raise ValueError("one MuCache cannot serve two ranks")
-        store = self._store
-        cached = store.get((bound, letters))
-        if cached is not None:
-            return cached
-        if len(store) > self._max_entries:
-            store.clear()
-        start = len(letters) - 1
-        series = None
-        while start > 0:
-            series = store.get((bound, letters[:start]))
-            if series is not None:
-                break
-            start -= 1
-        if series is None:
-            start = 0
-            series = one(rank, bound)
-            store[(bound, ())] = series
-        for i in range(start, len(letters)):
-            letter = letters[i]
-            series = mul(series, atom_series(letter.generator, letter.sign, rank, bound))
-            store[(bound, letters[: i + 1])] = series
-        return series
 
 
 def _check_cap(cap: int | None) -> None:
@@ -335,6 +254,33 @@ def _components(
             entry.append(component)
         below = entry
     return below
+
+
+class MuCache:
+    """Memo of word images of one rank over one store of homogeneous components.
+
+    A word grows from its longest stored prefix, one letter and one degree at
+    a time, whatever bound it is asked at (see :func:`_components`).
+    """
+
+    def __init__(self) -> None:
+        self._store: dict[tuple[Letter, ...], Components] = {}
+        self._place: tuple[int, ...] | None = None
+
+    def mu_of(self, letters: tuple[Letter, ...], rank: int, bound: int) -> TruncatedSeries:
+        if self._place is None:
+            self._place = _places(None, rank)
+        elif len(self._place) != rank + 1:
+            raise ValueError("one MuCache cannot serve two ranks")
+        components = _components(self._store, letters, bound, self._place)[: bound + 1]
+        # Under the canonical precedence, variable X_g sits at position g - 1.
+        image = {tuple(p + 1 for p in m): c for part in components for m, c in part.items()}
+        return TruncatedSeries(rank, bound, image)
+
+
+def mu(w: Word, degree_bound: int) -> TruncatedSeries:
+    """Series image of a word, truncated at degree_bound, read from a fresh MuCache."""
+    return MuCache().mu_of(w.letters, w.rank, degree_bound)
 
 
 def _first_difference(

@@ -254,6 +254,11 @@ def _weinbaum_cuts(unique_from: list[int]) -> list[tuple[int, int]]:
     ]
 
 
+def _checks_monotonic(cmp: MagnusOrder) -> bool:
+    """True iff claim 3, D = 1 iff W is monotonic, is checked under cmp's precedence."""
+    return cmp.precedence in (None, tuple(range(1, cmp.rank + 1)))
+
+
 def _unaudited(w: Word, anomaly: Anomaly) -> WordReport:
     """Report on a word whose decomposition could not be audited."""
     return WordReport(
@@ -267,7 +272,7 @@ def _unaudited(w: Word, anomaly: Anomaly) -> WordReport:
     )
 
 
-def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordReport:
+def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
     """Decompose one word and audit every claim; violations become anomalies.
 
     Precondition violations (empty, length one, periodic, not cyclically
@@ -297,8 +302,13 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
     ascent, descent = dec.ascent, dec.descent
     a_letters, size = ascent.letters, len(ascent)
 
-    # The maximal ascent must be a prefix of exactly one rotation.
-    ascent_unique = table.unique(rows.index(dec.chosen.letters), 0, size)
+    # The maximal ascent must be an ascent, and a prefix of exactly one rotation.
+    chosen_row = rows.index(dec.chosen.letters)
+    if not table.is_ascent(chosen_row, 0, size):
+        anomalies.append(
+            Anomaly("maximal_ascent_not_ascent", f"{ascent} is not an ascent of {dec.chosen}")
+        )
+    ascent_unique = table.unique(chosen_row, 0, size)
     if not ascent_unique:
         prefix_hits = sum(row[:size] == a_letters for row in rows)
         anomalies.append(
@@ -327,7 +337,7 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
                 )
 
     # Under the series order, an empty descent must coincide with monotonicity.
-    if check_monotonic and dec.descent_empty != monotonic:
+    if _checks_monotonic(cmp) and dec.descent_empty != monotonic:
         anomalies.append(
             Anomaly(
                 "monotonic_descent_mismatch",
@@ -423,13 +433,13 @@ def _summary(report: WordReport) -> tuple:
 
 
 def _campaign_chunk(args: tuple) -> list[tuple]:
-    letters_list, rank, precedence, cap, check_monotonic = args
+    letters_list, rank, precedence, cap = args
     cmp = MagnusOrder(rank, precedence=precedence, cap=cap)
     out = []
     for letters in letters_list:
         w = Word(letters, rank)
         try:
-            report = check_word(w, cmp, check_monotonic=check_monotonic)
+            report = check_word(w, cmp)
         except UndecidedAtCapError as exc:
             report = _unaudited(w, Anomaly("comparison_undecided", f"{w}: {exc}"))
         except Exception as exc:
@@ -460,8 +470,7 @@ def run_campaign(
         raise ValueError("need 1 <= min_length <= max_length")
     if workers < 1:
         raise ValueError("workers must be positive")
-    order = MagnusOrder(rank, precedence=precedence, cap=cap).description
-    check_monotonic = precedence is None or tuple(precedence) == tuple(range(1, rank + 1))
+    cmp = MagnusOrder(rank, precedence=precedence, cap=cap)
 
     started = time.perf_counter()
     todo: list[tuple[Letter, ...]] = []
@@ -476,12 +485,12 @@ def run_campaign(
         by_length[str(length)] = count
 
     if workers == 1 or len(todo) < 2 * workers:
-        summaries = _campaign_chunk((todo, rank, precedence, cap, check_monotonic))
+        summaries = _campaign_chunk((todo, rank, precedence, cap))
     else:
         chunk_count = workers * 4
         size = -(-len(todo) // chunk_count)
         chunks = [
-            (todo[i : i + size], rank, precedence, cap, check_monotonic)
+            (todo[i : i + size], rank, precedence, cap)
             for i in range(0, len(todo), size)
         ]
         summaries = []
@@ -504,7 +513,7 @@ def run_campaign(
             counterexamples.append(bad_report)
 
     checks = ["unique_ascent", "descent_placement"]
-    if check_monotonic:
+    if _checks_monotonic(cmp):
         checks.append("monotonic_descent")
     checks += ["host_structure", "overlap_structure", "weinbaum"]
     report = CampaignReport(
@@ -512,7 +521,7 @@ def run_campaign(
         rank=rank,
         min_length=min_length,
         max_length=max_length,
-        order=order,
+        order=cmp.description,
         dedup=dedup,
         checks=checks,
         words_checked=len(todo),

@@ -302,11 +302,6 @@ def occurrences(pattern: Word, host: Word) -> tuple[Occurrence, ...]:
     return tuple(found)
 
 
-def _prefix_count(u_letters: tuple[Letter, ...], elements: Iterable[Rotation]) -> int:
-    n = len(u_letters)
-    return sum(1 for e in elements if e.word.letters[:n] == u_letters)
-
-
 def _unique_from(rows: list[tuple[Letter, ...]]) -> list[int]:
     """``u[r]``: a length-l prefix of rows[r] is uniquely positioned iff l >= u[r].
 
@@ -340,7 +335,11 @@ def uniquely_positioned(u: Word, w: Word) -> bool:
         raise ValueError("host word must be nonempty")
     if u.rank != w.rank:
         raise ValueError("word ranks differ")
-    return _prefix_count(u.letters, rotation_set(w).elements) == 1
+    if not w.is_cyclically_reduced:
+        raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
+    rows, size = _rotation_rows(w.letters), len(u)
+    r = next((r for r, row in enumerate(rows) if row[:size] == u.letters), None)
+    return r is not None and size >= _unique_from(rows)[r]
 
 
 def is_monotonic(w: Word) -> bool:

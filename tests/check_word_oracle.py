@@ -8,7 +8,9 @@ both of its algorithms: the library has only ``"peaklow"`` now, and
 ``"bruteforce"``, which classifies every subword of every rotation, is the
 oracle the library's result is tested against. They rebuild every
 rotation's spans, prefix profiles and prefix counts from the primitives in
-``orderword.words`` and ``orderword.analysis``.
+``orderword.words`` and ``orderword.analysis``; the prefix count,
+``_prefix_count``, lives here, since the library reads unique positioning
+from sorted rotation rows.
 ``tests/test_check_word_parity.py`` asserts that the library's
 ``check_word`` reports exactly what this one does.
 """
@@ -24,6 +26,7 @@ from orderword.analysis import (
     MaximalAscent,
     PeriodicWordError,
     ascent_descent_spans,
+    is_ascent,
     is_descent,
     prefix_profile,
 )
@@ -33,14 +36,18 @@ from orderword.words import (
     NotCyclicallyReducedError,
     Rotation,
     Word,
-    _prefix_count,
     inverse,
     is_monotonic,
     is_periodic,
     occurrences,
     rotation_set,
-    uniquely_positioned,
 )
+
+
+def _prefix_count(u_letters: tuple[Letter, ...], elements: tuple[Rotation, ...]) -> int:
+    # How many rotation-set elements start with u; u is uniquely positioned at 1.
+    n = len(u_letters)
+    return sum(1 for e in elements if e.word.letters[:n] == u_letters)
 
 
 def _intervals_overlap(s1: int, e1: int, s2: int, e2: int) -> bool:
@@ -129,7 +136,7 @@ def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decompos
         origin=origin,
         ascent=found.ascent,
         descent=descent,
-        descent_unique=uniquely_positioned(descent, w) if len(descent) else None,
+        descent_unique=_prefix_count(descent.letters, elements) == 1 if len(descent) else None,
     )
 
 
@@ -178,12 +185,13 @@ def _unaudited(w: Word, anomaly: Anomaly) -> WordReport:
     )
 
 
-def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordReport:
+def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
     """Decompose one word and audit every claim; violations become anomalies.
 
     Precondition violations (empty, length one, periodic, not cyclically
     reduced) raise; everything the decomposition asserts about a valid word is
-    verified here and reported, never raised.
+    verified here and reported, never raised. Claim 3 is checked under the
+    canonical variable precedence only.
     """
     try:
         dec = decompose(w, cmp)
@@ -196,7 +204,11 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
     ascent = dec.ascent
     descent = dec.descent
 
-    # The maximal ascent must be a prefix of exactly one rotation.
+    # The maximal ascent must be an ascent, and a prefix of exactly one rotation.
+    if not is_ascent(ascent, cmp):
+        anomalies.append(
+            Anomaly("maximal_ascent_not_ascent", f"{ascent} is not an ascent of {dec.chosen}")
+        )
     prefix_hits = _prefix_count(ascent.letters, elements)
     ascent_unique = prefix_hits == 1
     if not ascent_unique:
@@ -226,7 +238,8 @@ def check_word(w: Word, cmp: MagnusOrder, check_monotonic: bool = True) -> WordR
                 )
 
     # Under the series order, an empty descent must coincide with monotonicity.
-    if check_monotonic and dec.descent_empty != monotonic:
+    canonical = cmp.precedence is None or cmp.precedence == tuple(range(1, cmp.rank + 1))
+    if canonical and dec.descent_empty != monotonic:
         anomalies.append(
             Anomaly(
                 "monotonic_descent_mismatch",

@@ -28,10 +28,10 @@ from orderword import (
     parse_word,
     rotation_class_count,
     run_campaign,
-    truncate,
     uniquely_positioned,
 )
 from orderword.verify import enumerate_cyclically_reduced
+from series_oracle import truncate
 from wordgen import all_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731

@@ -36,7 +36,7 @@ from orderword import (
 from orderword.analysis import CyclicSigns
 from orderword.series import UndecidedAtCapError
 from orderword.verify import check_word, enumerate_cyclically_reduced, weinbaum_factorizations
-from orderword.words import _prefix_count, _rotation_rows, _unique_from
+from orderword.words import _rotation_rows, _unique_from
 from wordgen import all_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
@@ -191,16 +191,17 @@ def test_cyclic_signs_match_every_rotation(order, swapped):
                 assert table.rows == [e.word.letters for e in elements]
                 for r, element in enumerate(elements):
                     host = element.word
-                    descents = ascent_descent_spans(host, cmp)[1]
+                    ascents, descents = ascent_descent_spans(host, cmp)
                     profile = prefix_profile(host, cmp)
                     assert table.low_peak[r] == (profile.low_index, profile.peak_index)
                     for i in range(n):
                         for j in range(i + 1, n + 1):
                             piece = host[i:j]
                             assert table.sign(r, i, j) == cmp.sign(piece)
+                            assert table.is_ascent(r, i, j) == ((i, j) in ascents)
                             assert table.is_descent(r, i, j) == ((i, j) in descents)
                             assert table.unique(r, i, j) == (
-                                _prefix_count(piece.letters, elements) == 1
+                                oracle._prefix_count(piece.letters, elements) == 1
                             )
 
 
@@ -244,7 +245,9 @@ def test_unique_from_matches_prefix_counts(rank, top):
             u = _unique_from(rows)
             for r, row in enumerate(rows):
                 for l in range(1, n + 1):
-                    assert (l >= u[r]) == (_prefix_count(row[:l], elements) == 1), (str(w), r, l)
+                    unique = oracle._prefix_count(row[:l], elements) == 1
+                    assert (l >= u[r]) == unique, (str(w), r, l)
+                    assert uniquely_positioned(Word(row[:l], rank), w) == unique, (str(w), r, l)
             if n > 1 and not is_periodic(w):
                 assert len(weinbaum_factorizations(w)) == check_word(w, cmp).weinbaum_count
 
@@ -392,6 +395,50 @@ def test_decompose_invariants_exhaustive(order):
                 assert dec.descent_unique is None
             else:
                 assert dec.descent_unique == uniquely_positioned(dec.descent, w)
+
+
+def _descent_starts(dec):
+    """Cyclic offsets where D starts in A·D, and in its inverse D^-1·A^-1."""
+    d = dec.descent.letters
+    starts = []
+    for host in (dec.chosen, inverse(dec.chosen)):
+        doubled = host.letters * 2
+        starts.append([k for k in range(len(host)) if doubled[k : k + len(d)] == d])
+    return starts
+
+
+def test_descent_copies_golden(order):
+    # D = B recurs only inside A^-1 = ABA, which the linear scan of A·D misses.
+    dec = decompose(P("abaB"), order)
+    assert (str(dec.ascent), str(dec.descent)) == ("aba", "B")
+    assert _descent_starts(dec) == [[3], [2]]
+
+
+@pytest.mark.parametrize("rank, top", [(2, 8), (3, 5)])
+@pytest.mark.parametrize("swap", [False, True], ids=["canonical", "swapped"])
+def test_descent_copies_are_internal_in_ascent_or_its_inverse(rank, top, swap):
+    # Claim 2 read over the whole rotation set: apart from D's own element,
+    # A·D rotated by |A|, every element that starts with D is a rotation of
+    # A·D whose D lies strictly inside A, or a rotation of D^-1·A^-1 whose D
+    # lies strictly inside A^-1.
+    cmp = MagnusOrder(rank, precedence=tuple(range(rank, 0, -1)) if swap else None)
+    only_in_inverse = 0
+    for n in range(2, top + 1):
+        for w in enumerate_cyclically_reduced(rank, n, dedup="rotation_class"):
+            if is_periodic(w):
+                continue
+            dec = decompose(w, cmp)
+            a, d = len(dec.ascent), len(dec.descent)
+            if not d:
+                continue
+            same, other = _descent_starts(dec)
+            same.remove(a)
+            assert all(0 < k and k + d < a for k in same), (str(w), same)
+            assert all(d < k and k + d < n for k in other), (str(w), other)
+            assert dec.descent_unique == (not same and not other), str(w)
+            only_in_inverse += bool(other) and not same
+    # Copies of D that only the W^-1 half holds.
+    assert only_in_inverse == {2: 213, 3: 80}[rank]
 
 
 def test_empty_descent_iff_monotonic_exhaustive(order):

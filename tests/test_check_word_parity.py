@@ -129,6 +129,7 @@ def test_check_word_matches_oracle_without_bi_invariance(order_type):
         "peak_low_slice_mismatch",
         "monotonic_descent_mismatch",
         "descent_occurrence_outside_ascent",
+        "maximal_ascent_not_ascent",
     } <= set(labels)
 
 
@@ -158,6 +159,19 @@ def test_check_word_matches_oracle_on_wrong_decompositions(
         monkeypatch.setattr(module, "decompose", lambda word, cmp: fake)
     report = _assert_same(w, MagnusOrder(2))
     assert label in [anomaly["label"] for anomaly in report["anomalies"]]
+
+
+@pytest.mark.parametrize(
+    "text, seed, ascent",
+    [("aabb", 2, "BAAB"), ("aaBab", 3, "AbAA"), ("aaabb", 5, "aabba"), ("aabAB", 5, "aab")],
+)
+def test_maximal_ascent_that_is_no_ascent_is_an_anomaly(text, seed, ascent):
+    # Under a sign that is not bi-invariant the largest peak-to-low slice
+    # need not be an ascent. The audit reads that from the table, the oracle
+    # from is_ascent, and both report it.
+    report = _assert_same(parse_word(text, 2), RandomSignOrder(2, seed))
+    assert report["decomposition"]["ascent"] == ascent
+    assert [a["label"] for a in report["anomalies"]] == ["maximal_ascent_not_ascent"]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

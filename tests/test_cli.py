@@ -288,10 +288,10 @@ def test_program_errors_are_not_anomalies(capsys, monkeypatch):
 def test_campaign_error_names_the_word_on_stderr(capsys, monkeypatch):
     real = verify.check_word
 
-    def broken(w, cmp, check_monotonic=True):
+    def broken(w, cmp):
         if str(w) == "aab":
             raise ValueError("injected")
-        return real(w, cmp, check_monotonic=check_monotonic)
+        return real(w, cmp)
 
     monkeypatch.setattr(verify, "check_word", broken)
     code, out, err = run(capsys, "campaign", "--min-len", "2", "--max-len", "4")

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from itertools import combinations, groupby, permutations, product
+from pathlib import Path
 
 import pytest
 import sympy
 
+import series_oracle as oracle
 from orderword import (
     MagnusOrder,
     MuCache,
@@ -16,7 +19,6 @@ from orderword import (
     TruncatedSeries,
     UndecidedAtCapError,
     Word,
-    atom_series,
     compare_series,
     concat,
     identity,
@@ -24,15 +26,14 @@ from orderword import (
     magnus_compare_words,
     mu,
     mul,
-    one,
     parse_word,
     series_text,
-    truncate,
 )
 from orderword.series import _components, _first_difference, _places
 from wordgen import all_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
+SRC = Path(__file__).resolve().parent.parent / "src" / "orderword"
 
 
 # ---------------------------------------------------------------- independent oracle
@@ -79,49 +80,55 @@ def test_mu_matches_sympy_oracle_goldens():
 
 
 def test_mu_matches_sympy_oracle_random():
+    # Both the library's kernel reading and the atom product of the oracle.
     rng = random.Random(201)
     for _ in range(40):
         w = random_reduced(rng, rng.randint(0, 6))
         bound = rng.randint(1, 4)
-        assert mu(w, bound).coefficients == sympy_mu(w, bound)
+        expected = sympy_mu(w, bound)
+        assert mu(w, bound).coefficients == expected
+        assert oracle.mu(w, bound).coefficients == expected
 
 
 # ---------------------------------------------------------------- atoms and products
 
 def test_atom_series_goldens():
-    assert atom_series(1, 1, 2, 3).coefficients == {(): 1, (1,): 1}
-    assert atom_series(2, -1, 2, 2).coefficients == {(): 1, (2,): -1, (2, 2): 1}
-    assert atom_series(1, -1, 2, 0).coefficients == {(): 1}
+    assert oracle.atom_series(1, 1, 2, 3).coefficients == {(): 1, (1,): 1}
+    assert oracle.atom_series(2, -1, 2, 2).coefficients == {(): 1, (2,): -1, (2, 2): 1}
+    assert oracle.atom_series(1, -1, 2, 0).coefficients == {(): 1}
 
 
 def test_atom_series_validation():
     with pytest.raises(ValueError):
-        atom_series(3, 1, 2, 2)
+        oracle.atom_series(3, 1, 2, 2)
     with pytest.raises(ValueError):
-        atom_series(1, 0, 2, 2)
+        oracle.atom_series(1, 0, 2, 2)
 
 
 def test_mul_goldens():
-    a = atom_series(1, 1, 2, 1)
-    b = atom_series(2, -1, 2, 1)
+    a = oracle.atom_series(1, 1, 2, 1)
+    b = oracle.atom_series(2, -1, 2, 1)
     assert mul(a, b).coefficients == {(): 1, (1,): 1, (2,): -1}
-    telescoped = mul(atom_series(1, 1, 2, 2), atom_series(1, -1, 2, 2))
+    telescoped = mul(oracle.atom_series(1, 1, 2, 2), oracle.atom_series(1, -1, 2, 2))
     assert telescoped.coefficients == {(): 1}
-    distributed = mul(atom_series(1, 1, 2, 2), atom_series(2, 1, 2, 2))
+    distributed = mul(oracle.atom_series(1, 1, 2, 2), oracle.atom_series(2, 1, 2, 2))
     assert distributed.coefficients == {(): 1, (1,): 1, (2,): 1, (1, 2): 1}
 
 
 def test_mul_uses_min_bound_and_checks_rank():
-    product = mul(one(2, 5), one(2, 3))
+    product = mul(oracle.one(2, 5), oracle.one(2, 3))
     assert product.degree_bound == 3
     with pytest.raises(ValueError):
-        mul(one(2, 2), one(3, 2))
+        mul(oracle.one(2, 2), oracle.one(3, 2))
 
 
 def test_mu_goldens():
-    assert mu(P("aB"), 1).coefficients == {(): 1, (1,): 1, (2,): -1}
-    assert mu(identity(2), 5).coefficients == {(): 1}
-    assert mu(P("abAB"), 2).coefficients == {(): 1, (1, 2): 1, (2, 1): -1}
+    for image in (mu, oracle.mu):
+        assert image(P("aB"), 1).coefficients == {(): 1, (1,): 1, (2,): -1}
+        assert image(identity(2), 5).coefficients == {(): 1}
+        assert image(P("abAB"), 2).coefficients == {(): 1, (1, 2): 1, (2, 1): -1}
+        with pytest.raises(ValueError):
+            image(P("ab"), -1)
 
 
 def test_inverse_pairs_telescope_exactly():
@@ -175,10 +182,10 @@ def test_truncated_series_validation():
 
 def test_truncate_drops_high_terms_and_refuses_extension():
     s = mu(P("aa"), 3)
-    cut = truncate(s, 1)
+    cut = oracle.truncate(s, 1)
     assert cut.coefficients == {(): 1, (1,): 2}
     with pytest.raises(ValueError):
-        truncate(cut, 2)
+        oracle.truncate(cut, 2)
 
 
 # ---------------------------------------------------------------- comparison
@@ -215,11 +222,11 @@ def test_compare_series_lex_within_degree_two():
 
 def test_compare_series_validation():
     with pytest.raises(ValueError):
-        compare_series(one(2, 1), one(2, 2))
+        compare_series(oracle.one(2, 1), oracle.one(2, 2))
     with pytest.raises(ValueError):
-        compare_series(one(2, 1), one(3, 1))
+        compare_series(oracle.one(2, 1), oracle.one(3, 1))
     with pytest.raises(ValueError):
-        compare_series(one(2, 1), one(2, 1), precedence=(1, 1))
+        compare_series(oracle.one(2, 1), oracle.one(2, 1), precedence=(1, 1))
 
 
 # ---------------------------------------------------------------- rendering
@@ -253,7 +260,7 @@ def test_syllable_count_caps_the_deciding_degree():
         for n in range(1, max_length + 1):
             for w in all_reduced(rank, n):
                 syllables = len(list(groupby(l.generator for l in w.letters)))
-                assert any(len(m) > 0 for m in mu(w, syllables).coefficients), str(w)
+                assert any(len(m) > 0 for m in oracle.mu(w, syllables).coefficients), str(w)
 
 
 # ---------------------------------------------------------------- word comparison
@@ -348,7 +355,7 @@ def test_order_matches_reference_series():
     }
     for rank, top in ((2, 4), (3, 3)):
         words = [w for n in range(0, top + 1) for w in all_reduced(rank, n)]
-        images = {w: mu(w, 2 * top) for w in words}
+        images = {w: oracle.mu(w, 2 * top) for w in words}
         for precedence in (tuple(range(1, rank + 1)), tuple(range(rank, 0, -1))):
             order = MagnusOrder(rank, precedence=precedence)
             for v, w in product(words, repeat=2):
@@ -369,7 +376,7 @@ def test_explicit_cap_matches_reference_series():
     for precedence in ((1, 2), (2, 1)):
         for cap in range(1, 6):
             order = MagnusOrder(2, precedence=precedence, cap=cap)
-            images = {w: mu(w, cap) for w in words}
+            images = {w: oracle.mu(w, cap) for w in words}
             for v, w in product(words, repeat=2):
                 expected = compare_series(images[v], images[w], precedence)
                 if v == w:
@@ -396,7 +403,7 @@ def test_stored_components_are_homogeneous_parts_of_mu(rank, top):
     # Every component in the store, the prefixes' included, is the matching
     # degree of the reference image, with variables written as positions.
     words = [w for n in range(0, top + 1) for w in all_reduced(rank, n)]
-    images = {w.letters: mu(w, top) for w in words}
+    images = {w.letters: oracle.mu(w, top) for w in words}
     for precedence in permutations(range(1, rank + 1)):
         place = _places(precedence, rank)
         store = {}
@@ -416,11 +423,11 @@ def test_mu_cache_matches_direct_mu():
     for _ in range(60):
         w = random_reduced(rng, rng.randint(0, 9))
         bound = rng.randint(1, 5)
-        assert cache.mu_of(w.letters, 2, bound).coefficients == mu(w, bound).coefficients
-    # Repeat lookups hit the memo and stay correct.
+        assert cache.mu_of(w.letters, 2, bound).coefficients == oracle.mu(w, bound).coefficients
+    # Repeat lookups, and lower bounds of stored words, read the same store.
     w = P("abAB")
-    assert cache.mu_of(w.letters, 2, 4).coefficients == mu(w, 4).coefficients
-    assert cache.mu_of(w.letters, 2, 4).coefficients == mu(w, 4).coefficients
+    for bound in (4, 4, 2, 0):
+        assert cache.mu_of(w.letters, 2, bound) == oracle.mu(w, bound)
 
 
 def test_mu_cache_serves_one_rank():
@@ -428,11 +435,38 @@ def test_mu_cache_serves_one_rank():
     cache.mu_of(P("ab").letters, 2, 2)
     with pytest.raises(ValueError):
         cache.mu_of(parse_word("abc", 3).letters, 3, 2)
+    # Letters that both ranks have, too.
+    with pytest.raises(ValueError, match="two ranks"):
+        cache.mu_of(P("ab").letters, 3, 2)
 
 
-def test_mu_cache_flushes_when_full():
-    cache = MuCache(max_entries=4)
-    rng = random.Random(207)
-    for _ in range(20):
-        w = random_reduced(rng, 4)
-        assert cache.mu_of(w.letters, 2, 2).coefficients == mu(w, 2).coefficients
+# ---------------------------------------------------------------- one product
+
+@pytest.mark.parametrize(
+    "rank, top, degrees", [(2, 4, 8), (3, 3, 5), (1, 6, 11)], ids=["rank2", "rank3", "rank1"]
+)
+def test_series_text_matches_reference_product(rank, top, degrees):
+    # What the series subcommand prints, under every precedence, and what
+    # one long-lived MuCache returns, against the atom product.
+    words = [w for n in range(0, top + 1) for w in all_reduced(rank, n)]
+    cache = MuCache()
+    for w in words:
+        for degree in range(degrees + 1):
+            image, expected = mu(w, degree), oracle.mu(w, degree)
+            assert image == expected, (str(w), degree)
+            assert cache.mu_of(w.letters, rank, degree) == expected, (str(w), degree)
+            for precedence in permutations(range(1, rank + 1)):
+                assert series_text(image, precedence) == series_text(expected, precedence)
+
+
+def test_library_never_calls_mul():
+    # mul stays exported for tests and demos; the library reads the kernel.
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "mul":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

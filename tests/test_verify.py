@@ -308,10 +308,10 @@ def test_campaign_deterministic_across_worker_counts():
 def test_campaign_error_names_the_word(monkeypatch):
     real = verify.check_word
 
-    def broken(w, cmp, check_monotonic=True):
+    def broken(w, cmp):
         if str(w) == "aab":
             raise ZeroDivisionError("injected")
-        return real(w, cmp, check_monotonic=check_monotonic)
+        return real(w, cmp)
 
     monkeypatch.setattr(verify, "check_word", broken)
     with pytest.raises(ZeroDivisionError) as excinfo:
@@ -326,9 +326,9 @@ def test_serial_campaign_calls_check_word_through_the_module(monkeypatch):
     real = verify.check_word
     calls = []
 
-    def counted(w, cmp, check_monotonic=True):
+    def counted(w, cmp):
         calls.append(w)
-        return real(w, cmp, check_monotonic=check_monotonic)
+        return real(w, cmp)
 
     monkeypatch.setattr(verify, "check_word", counted)
     report = run_campaign(2, 2, 6, workers=1)
