@@ -27,7 +27,6 @@ from .words import (
     Rotation,
     Word,
     _rotation_rows,
-    _unique_from,
     is_periodic,
 )
 
@@ -40,7 +39,7 @@ class LengthOneError(ValueError):
 
 
 class AscentPlacementError(RuntimeError):
-    """No rotation starts with the maximal ascent; this should never happen."""
+    """No rotation's lowest prefix comes before its highest; this should never happen."""
 
 
 class InvariantViolationError(RuntimeError):
@@ -243,19 +242,21 @@ class CyclicSigns:
         self.sg = [prefix_signs(self.rows[s]) for s in range(n)]
         # (low_index, peak_index) of each rotation's prefix_profile.
         self.low_peak = [self._low_peak(r) for r in range(2 * n)]
-        self.unique_from = _unique_from(self.rows)
 
     def element(self, r: int) -> Rotation:
         """Rotation-set element r as a word with its origin."""
         origin = FROM_WORD if r < self.n else FROM_INVERSE
         return Rotation(Word(self.rows[r], self.word.rank), origin)
 
-    def unique(self, r: int, i: int, j: int) -> bool:
-        """True iff the nonempty span [i, j) of row r is uniquely positioned."""
-        # The span is a prefix of row r rotated by i within its half.
-        n = self.n
-        base = 0 if r < n else n
-        return j - i >= self.unique_from[base + (r - base + i) % n]
+    def starts(self, pattern: tuple[Letter, ...]) -> list[int]:
+        """The rotation-set elements that start with the nonempty pattern, in order.
+
+        Span [i, j) of element r is a prefix of element r rotated by i within
+        its half, so this also places every copy of the pattern: the pattern
+        is uniquely positioned exactly when one element starts with it.
+        """
+        m = len(pattern)
+        return [r for r, row in enumerate(self.rows) if row[:m] == pattern]
 
     def _monotone(self, s: int, l: int, want: int) -> bool:
         # Every prefix and every suffix of the cyclic subword (s, l) has sign want.
@@ -288,22 +289,21 @@ class CyclicSigns:
         s, l, flip = self._cell(r, i, j)
         return self._monotone(s, l, -flip)
 
-    def hits(self, pattern: tuple[Letter, ...]) -> list[int]:
-        """How many times the nonempty pattern occurs in each rotation-set element.
+    def hits(self, starts: list[int], m: int) -> list[int]:
+        """How many times a pattern of length m occurs in each rotation-set element.
 
-        Element r < n is w·w read from r for n letters, so the pattern starting
-        at cyclic position p of w lies inside it exactly when
-        ``(p - r) % n <= n - len(pattern)``; the elements from n on read w^-1
-        the same way. One slice compare per cyclic position finds every p.
+        ``starts`` is ``self.starts(pattern)``: element p < n starts with the
+        pattern exactly when the pattern starts at cyclic position p of w.
+        Element r < n is w·w read from r for n letters, so that copy lies
+        inside it exactly when ``(p - r) % n <= n - m``; the elements from n
+        on read w^-1 the same way.
         """
-        n, m = self.n, len(pattern)
+        n = self.n
         counts = [0] * (2 * n)
-        for base in (0, n):
-            doubled = self.rows[base] * 2
-            for p in range(n):
-                if doubled[p : p + m] == pattern:
-                    for i in range(n - m + 1):
-                        counts[base + (p - i) % n] += 1
+        for s in starts:
+            base = s - s % n
+            for i in range(n - m + 1):
+                counts[base + (s - i) % n] += 1
         return counts
 
     def _low_peak(self, r: int) -> tuple[int, int]:
@@ -325,21 +325,11 @@ class CyclicSigns:
         return low, peak
 
 
-@dataclass(frozen=True)
-class MaximalAscent:
-    """The order-largest ascent among subwords of a rotation set."""
-
-    ascent: Word
-    host: Word
-    origin: str
-
-
-def maximal_ascent(w: Word, cmp: MagnusOrder) -> MaximalAscent:
+def maximal_ascent(w: Word, cmp: MagnusOrder) -> Word:
     """The unique order-largest ascent over all subwords of the rotation set of w.
 
     Per rotation, the candidate is the slice from the low prefix to the peak
-    prefix; among rotations containing the winner, the first in rotation-set
-    order is reported as host.
+    prefix.
     """
     if len(w) == 0:
         raise ValueError("the empty word has no ascent")
@@ -353,10 +343,7 @@ def maximal_ascent(w: Word, cmp: MagnusOrder) -> MaximalAscent:
     for candidate in candidates:
         if best is None or cmp._compare_letters(candidate, best) > 0:
             best = candidate
-    for r, count in enumerate(table.hits(best)):
-        if count:
-            return MaximalAscent(Word(best, w.rank), *table.element(r))
-    raise AscentPlacementError("maximal ascent vanished from its own rotation set")
+    return Word(best, w.rank)
 
 
 @dataclass(frozen=True)
@@ -388,13 +375,11 @@ def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
         raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
     if is_periodic(w):
         raise PeriodicWordError(f"{w!r} is a proper power")
-    found = maximal_ascent(w, cmp)
+    ascent = maximal_ascent(w, cmp)
     table = cmp._cyclic_signs(w)
-    ascent_letters = found.ascent.letters
-    cut = len(ascent_letters)
-    r = next((r for r, row in enumerate(table.rows) if row[:cut] == ascent_letters), None)
-    if r is None:
-        raise AscentPlacementError(f"no rotation of {w!r} starts with the maximal ascent")
+    cut = len(ascent)
+    # A is a slice of a row, so a prefix of that row rotated: some row starts with it.
+    r = table.starts(ascent.letters)[0]
     chosen, origin = table.element(r)
     descent = chosen[cut:]
     if len(descent) and not table.is_descent(r, cut, len(w)):
@@ -405,8 +390,8 @@ def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
         source=w,
         chosen=chosen,
         origin=origin,
-        ascent=found.ascent,
+        ascent=ascent,
         descent=descent,
         # Uniquely positioned: a prefix of exactly one rotation-set element.
-        descent_unique=table.unique(r, cut, len(w)) if len(descent) else None,
+        descent_unique=len(table.starts(descent.letters)) == 1 if len(descent) else None,
     )

@@ -39,7 +39,6 @@ from .words import (
     inverse,
     is_monotonic,
     is_periodic,
-    occurrences,
     rotation_set,
 )
 
@@ -289,6 +288,16 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
     positive and the overlap is an ascent. If one is an ascent and the other
     a descent, the overlap's full length would be both positive and
     negative, so an ascent never partially overlaps a descent.
+
+    Claim 2, that every other copy of D lies strictly inside A or inside
+    A^-1, is audited all the way round the chosen rotation A·D. The W^-1
+    half holds by proof, for any split and any sign function. Its elements
+    are the rotations of D^-1·A^-1. A copy of D there that overlapped the
+    D^-1 would share with it a nonempty z that is a prefix of D and a suffix
+    of D^-1, or a suffix of D and a prefix of D^-1, so z = z^-1, which no
+    nonempty reduced word is. A copy that only touched the D^-1 would put a
+    letter next to its inverse in a cyclically reduced word. So every copy
+    of D in the W^-1 half lies strictly inside A^-1.
     """
     try:
         dec = decompose(w, cmp)
@@ -308,31 +317,32 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
         anomalies.append(
             Anomaly("maximal_ascent_not_ascent", f"{ascent} is not an ascent of {dec.chosen}")
         )
-    ascent_unique = table.unique(chosen_row, 0, size)
+    a_starts = table.starts(a_letters)
+    ascent_unique = len(a_starts) == 1
     if not ascent_unique:
-        prefix_hits = sum(row[:size] == a_letters for row in rows)
         anomalies.append(
             Anomaly(
                 "ascent_not_uniquely_positioned",
-                f"{ascent} is a prefix of {prefix_hits} rotations of {w}",
+                f"{ascent} is a prefix of {len(a_starts)} rotations of {w}",
             )
         )
 
-    # Any extra copy of the descent inside the chosen rotation must sit
-    # strictly inside the ascent span.
+    # Any extra copy of the descent in the chosen rotation, read cyclically,
+    # must sit strictly inside the ascent span.
     if not descent:
         descent_status = "empty"
     else:
         descent_status = "unique" if dec.descent_unique else "internal_in_A"
-        boundary = len(ascent)
-        for occ in occurrences(descent, dec.chosen):
-            if occ.start == boundary:
-                continue
-            if occ.start < 1 or occ.end > boundary - 1:
+        half = chosen_row // n
+        offsets = sorted(
+            (s - chosen_row) % n for s in table.starts(descent.letters) if s // n == half
+        )
+        for q in offsets:
+            if q != size and not 1 <= q <= size - len(descent) - 1:
                 anomalies.append(
                     Anomaly(
                         "descent_occurrence_outside_ascent",
-                        f"{descent} recurs at offset {occ.start} of {dec.chosen}",
+                        f"{descent} recurs at offset {q} of {dec.chosen}",
                     )
                 )
 
@@ -346,7 +356,7 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
         )
 
     # Structure of every rotation that contains the maximal ascent.
-    hits = table.hits(a_letters)
+    hits = table.hits(a_starts, size)
     for r, row in enumerate(rows):
         if not hits[r]:
             continue
@@ -370,13 +380,13 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
                     f"host {host}: low {low}, peak {peak}, ascent {ascent}",
                 )
             )
-        if row[:size] == a_letters and n > size:
+        if r in a_starts and n > size:
             if not table.is_descent(r, size, n):
                 anomalies.append(
                     Anomaly("host_remainder_not_descent", f"{host} after {ascent}")
                 )
 
-    weinbaum_count = len(_weinbaum_cuts(table.unique_from))
+    weinbaum_count = len(_weinbaum_cuts(_unique_from(rows)))
     if not weinbaum_count:
         anomalies.append(Anomaly("no_weinbaum_factorization", str(w)))
 

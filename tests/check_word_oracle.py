@@ -6,16 +6,21 @@ before :class:`orderword.analysis.CyclicSigns`, with the decomposition
 records as the library has them now. ``maximal_ascent`` keeps
 both of its algorithms: the library has only ``"peaklow"`` now, and
 ``"bruteforce"``, which classifies every subword of every rotation, is the
-oracle the library's result is tested against. They rebuild every
+oracle the library's result is tested against. It also keeps its record,
+``MaximalAscent``, with the first rotation-set element that contains the
+ascent; the library's returns the ascent alone. They rebuild every
 rotation's spans, prefix profiles and prefix counts from the primitives in
 ``orderword.words`` and ``orderword.analysis``; the prefix count,
 ``_prefix_count``, lives here, since the library reads unique positioning
-from sorted rotation rows.
+from the rows that start with a pattern and from sorted rotation rows.
+Claim 2 is read round the chosen rotation, as the library reads it.
 ``tests/test_check_word_parity.py`` asserts that the library's
 ``check_word`` reports exactly what this one does.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from orderword.analysis import (
     AscentPlacementError,
@@ -23,7 +28,6 @@ from orderword.analysis import (
     InvariantViolationError,
     LengthOneError,
     MagnusOrder,
-    MaximalAscent,
     PeriodicWordError,
     ascent_descent_spans,
     is_ascent,
@@ -36,12 +40,25 @@ from orderword.words import (
     NotCyclicallyReducedError,
     Rotation,
     Word,
+    concat,
     inverse,
     is_monotonic,
     is_periodic,
     occurrences,
     rotation_set,
 )
+
+
+@dataclass(frozen=True)
+class MaximalAscent:
+    """The order-largest ascent among subwords of a rotation set, with its host.
+
+    The host is the first rotation-set element that contains the ascent.
+    """
+
+    ascent: Word
+    host: Word
+    origin: str
 
 
 def _prefix_count(u_letters: tuple[Letter, ...], elements: tuple[Rotation, ...]) -> int:
@@ -219,14 +236,15 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
             )
         )
 
-    # Any extra copy of the descent inside the chosen rotation must sit
-    # strictly inside the ascent span.
+    # Any extra copy of the descent in the chosen rotation, read cyclically,
+    # must sit strictly inside the ascent span.
     if not descent:
         descent_status = "empty"
     else:
         descent_status = "unique" if dec.descent_unique else "internal_in_A"
         boundary = len(ascent)
-        for occ in occurrences(descent, dec.chosen):
+        wrapped = concat(dec.chosen, dec.chosen[: len(descent) - 1])
+        for occ in occurrences(descent, wrapped):
             if occ.start == boundary:
                 continue
             if occ.start < 1 or occ.end > boundary - 1:

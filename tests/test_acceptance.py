@@ -101,9 +101,7 @@ def test_oracle_equivalence_maximal_ascent():
         for length in range(1, 9):
             for w in enumerate_cyclically_reduced(2, length):
                 brute = oracle.maximal_ascent(w, order, algorithm="bruteforce")
-                fast = maximal_ascent(w, order)
-                assert brute.ascent == fast.ascent, str(w)
-                assert (brute.host, brute.origin) == (fast.host, fast.origin)
+                assert brute.ascent == maximal_ascent(w, order), str(w)
                 checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0

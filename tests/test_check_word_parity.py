@@ -140,6 +140,10 @@ def test_check_word_matches_oracle_without_bi_invariance(order_type):
         ("aab", "a", "ab", "ascent_repeated_in_host"),
         ("abAB", "a", "bAB", "ascent_in_inverse_host"),
         ("abAB", "a", "bAB", "host_remainder_not_descent"),
+        # D = aa recurs at offset 3 of abaa, wrapping past the end of A·D.
+        ("abaa", "ab", "aa", "descent_occurrence_outside_ascent"),
+        # D = a recurs at offset 0 of aaba, a prefix of A; offset 1 is inside A.
+        ("aaba", "aab", "a", "descent_occurrence_outside_ascent"),
     ],
 )
 def test_check_word_matches_oracle_on_wrong_decompositions(

@@ -459,14 +459,18 @@ def test_series_text_matches_reference_product(rank, top, degrees):
                 assert series_text(image, precedence) == series_text(expected, precedence)
 
 
-def test_library_never_calls_mul():
-    # mul stays exported for tests and demos; the library reads the kernel.
+@pytest.mark.parametrize(
+    "name", ["mul", "compare_series", "prefix_profile", "ascent_descent_spans", "occurrences"]
+)
+def test_library_never_calls(name):
+    # These stay exported for tests, demos and perfbench; the library reads
+    # the kernel and the sign table instead.
     calls = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "mul":
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
                     calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
