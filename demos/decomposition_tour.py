@@ -15,7 +15,6 @@ from orderword import (
     is_ascent,
     is_descent,
     parse_word,
-    prefix_profile,
     weinbaum_factorizations,
 )
 
@@ -27,12 +26,14 @@ for text in ("a", "ab", "aB", "AB"):
     w = P(text)
     print(f"{text:<3} ascent={is_ascent(w, order)!s:<5} descent={is_descent(w, order)}")
 
-# The peak/low profile of a word locates the largest and smallest prefix;
-# the slice between them is an ascent candidate.
+# Each rotation's smallest and largest prefix bound an ascent candidate. In
+# the rotation W' that decompose() chooses, the smallest prefix is the empty
+# one and the largest is the maximal ascent A (check_word audits this), so
+# the peak/low slice of W' is A.
 w = P("abAB")
-profile = prefix_profile(w, order)
-print(f"\nprefixes of {w}: low at {profile.low_index}, peak at {profile.peak_index}, "
-      f"slice = {w[profile.low_index:profile.peak_index]}")
+dec = decompose(w, order)
+print(f"\nprefixes of {dec.chosen}: low at 0, peak at {len(dec.ascent)}, "
+      f"slice = {dec.chosen[:len(dec.ascent)]}")
 
 # decompose() finds the maximal ascent over the whole rotation set, then
 # rotates so it becomes a prefix.

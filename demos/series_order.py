@@ -9,10 +9,10 @@ series. Comparing images coefficient-by-coefficient orders the words.
 
 from orderword import (
     MagnusOrder,
+    concat,
     identity,
     inverse,
     mu,
-    mul,
     parse_word,
     series_text,
 )
@@ -25,9 +25,10 @@ for text in ("a", "B", "aB", "abAB"):
     w = P(text)
     print(f"mu({text:<5}) =", series_text(mu(w, 2)))
 
-# Inverse pairs telescope exactly — no rounding anywhere, ever.
+# Inverse pairs telescope exactly — no rounding anywhere, ever. The image is
+# multiplicative, so w * w^-1, which reduces to 1, maps to exactly 1.
 w = P("abAB")
-print("mu(w) * mu(w^-1) =", series_text(mul(mu(w, 4), mu(inverse(w), 4))))
+print("mu(w * w^-1) =", series_text(mu(concat(w, inverse(w)), 4)))
 
 # Words compare at the first monomial whose coefficients differ, taking
 # monomials by total degree and then lexicographically (X1 before X2).

@@ -4,18 +4,21 @@ A series is a finite dict from monomials to exact ints, truncated at a total
 degree bound. Generator i maps to 1 + X_i, its inverse to the alternating
 geometric series 1 - X_i + X_i^2 - ..., so inverse pairs telescope to 1
 exactly at every bound. Comparing two series coefficient-by-coefficient along
-a fixed monomial enumeration gives a total order on words. Word images are
-grown one homogeneous component at a time by one kernel, :func:`_components`:
-the order stops at the first degree where two images differ, and :func:`mu`
-reads an image through its bound.
+a fixed monomial enumeration gives a total order on words, the
+:class:`MagnusOrder`. Word images are grown one homogeneous component at a
+time by one kernel, :func:`_components`: the order stops at the first degree
+where two images differ, and :func:`mu` reads an image through its bound. The
+order also keeps the signs of one word's cyclic subwords, :class:`CyclicSigns`,
+which every audit reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
-from .words import Letter, Word
+from .words import FROM_INVERSE, FROM_WORD, Letter, Rotation, Word, _rotation_rows
 
 # A monomial is the tuple of variable indices read left to right:
 # () is the constant term, (1, 2) is X1*X2, (2, 2) is X2^2.
@@ -173,11 +176,6 @@ def series_text(s: TruncatedSeries, precedence: tuple[int, ...] | None = None) -
     return f"{rendered} + O({s.degree_bound + 1})"
 
 
-def _check_cap(cap: int | None) -> None:
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be positive")
-
-
 def _places(precedence: tuple[int, ...] | None, rank: int) -> tuple[int, ...]:
     """``place[g]`` is generator g's position in the enumeration order (0 first)."""
     place = [0] * (rank + 1)
@@ -283,87 +281,154 @@ def mu(w: Word, degree_bound: int) -> TruncatedSeries:
     return MuCache().mu_of(w.letters, w.rank, degree_bound)
 
 
-def _first_difference(
-    lv: tuple[Letter, ...],
-    lw: tuple[Letter, ...],
-    cap: int | None,
-    place: tuple[int, ...],
-    store: dict[tuple[Letter, ...], Components],
-) -> int:
-    """+1 or -1 as the image of lv is above or below that of lw.
-
-    The two letter sequences must differ and must not start with the same
-    letter, so that lw^-1 * lv is reduced as written.
-
-    Degrees 1, 2, ... are compared in turn up to the cap, and the first
-    degree whose components differ decides at its least differing monomial.
-    The default cap is the syllable count of lw^-1 * lv: if that reduced word
-    is x_i1^e1 ... x_ik^ek with adjacent generators distinct, its image has
-    the coefficient e1*...*ek != 0 at X_i1...X_ik (Magnus 1935), so the
-    images of lv and lw differ at degree k or below and only an explicit cap
-    can run out. It is counted only once degree 2 ties too: a tie at degree 1
-    means every exponent sum of lw^-1 * lv is zero, so the word uses at least
-    two generators, each in at least two syllables, and its cap is at least 4.
-    """
-    cv = cw = ()
-    degree = 1
-    while True:
-        if len(cv) <= degree:
-            cv = _components(store, lv, degree, place)
-        if len(cw) <= degree:
-            cw = _components(store, lw, degree, place)
-        a, b = cv[degree], cw[degree]
-        if a != b:
-            first, _ = min(a.items() ^ b.items())
-            return 1 if a.get(first, 0) > b.get(first, 0) else -1
-        if cap is None and degree == 2:
-            # Reversing lw keeps its generator sequence aligned with lw^-1, and
-            # the junction with lv cannot cancel since the first letters differ.
-            cap = _syllable_count(lw[::-1] + lv)
-        if cap is not None and degree >= cap:
-            raise UndecidedAtCapError(
-                f"distinct words compared equal up to the cap of degree {cap} "
-                f"(lengths {len(lv)} and {len(lw)} without common ends); raise the cap"
-            )
-        degree += 1
-
-
-def _compare_letters(
-    lv: tuple[Letter, ...],
-    lw: tuple[Letter, ...],
-    cap: int | None,
-    place: tuple[int, ...],
-    store: dict[tuple[Letter, ...], Components],
-    signs: dict[tuple[Letter, ...], int],
-) -> int:
-    """The one comparison path: +1, 0 or -1 as lv is above, equal to or below lw.
-
-    The order is invariant under multiplication on both sides, so the common
-    prefix and suffix cancel first. A lone remaining side is a subword whose
-    sign against the identity is memoised in ``signs``; two remaining sides
-    are compared degree by degree.
-    """
-    n = min(len(lv), len(lw))
-    head = 0
-    while head < n and lv[head] == lw[head]:
-        head += 1
-    tail = 0
-    while tail < n - head and lv[-1 - tail] == lw[-1 - tail]:
-        tail += 1
-    lv, lw = lv[head : len(lv) - tail], lw[head : len(lw) - tail]
-    if lv and lw:
-        return _first_difference(lv, lw, cap, place, store)
-    u = lv or lw
-    if not u:
-        return 0
-    sign = signs.get(u)
-    if sign is None:
-        sign = signs[u] = _first_difference(u, (), cap, place, store)
-    return sign if lv else -sign
-
-
 # Indexed by a sign: [1] is GREATER, [0] EQUAL and [-1] LESS.
 _ORDERINGS = (Ordering.EQUAL, Ordering.GREATER, Ordering.LESS)
+
+
+class MagnusOrder:
+    """The series-induced bi-order, with per-instance caching.
+
+    ``precedence`` permutes which variable dominates the monomial enumeration;
+    the default (1, 2, ..., rank) puts X1 first, so generator 1 is the
+    largest single letter. Distinct precedences are distinct bi-orders.
+    ``cap`` limits the deciding degree; by default it is the proved syllable
+    bound, so no comparison of distinct words can run out of degrees.
+    """
+
+    def __init__(
+        self,
+        rank: int = 2,
+        precedence: tuple[int, ...] | None = None,
+        cap: int | None = None,
+    ) -> None:
+        if rank < 1:
+            raise ValueError("rank must be positive")
+        self.rank = rank
+        self._place = _places(precedence, rank)
+        self.precedence = None if precedence is None else tuple(precedence)
+        if cap is not None and cap < 1:
+            raise ValueError("cap must be positive")
+        self.cap = cap
+        self._store: dict[tuple[Letter, ...], Components] = {}
+        self._signs: dict[tuple[Letter, ...], int] = {}
+        self._table: CyclicSigns | None = None
+
+    @property
+    def description(self) -> str:
+        order = self.precedence or tuple(range(1, self.rank + 1))
+        return "magnus(" + ">".join(f"x{g}" for g in order) + ")"
+
+    def compare(self, v: Word, w: Word) -> Ordering:
+        if v.rank != w.rank:
+            raise ValueError("cannot compare words of different ranks")
+        return _ORDERINGS[self._compare_letters(v.letters, w.letters)]
+
+    def greater(self, v: Word, w: Word) -> bool:
+        return self.compare(v, w) is Ordering.GREATER
+
+    def less(self, v: Word, w: Word) -> bool:
+        return self.compare(v, w) is Ordering.LESS
+
+    def sign(self, w: Word) -> int:
+        """+1, 0 or -1 as w compares to the identity."""
+        return self._sign_letters(w.letters)
+
+    def _compare_letters(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
+        """The one comparison path: +1, 0 or -1 as lv is above, equal to or below lw.
+
+        The order is invariant under multiplication on both sides, so the common
+        prefix and suffix cancel first. A lone remaining side is a subword whose
+        sign against the identity is memoised; two remaining sides are compared
+        degree by degree.
+        """
+        n = min(len(lv), len(lw))
+        head = 0
+        while head < n and lv[head] == lw[head]:
+            head += 1
+        tail = 0
+        while tail < n - head and lv[-1 - tail] == lw[-1 - tail]:
+            tail += 1
+        lv, lw = lv[head : len(lv) - tail], lw[head : len(lw) - tail]
+        if lv and lw:
+            return self._first_difference(lv, lw)
+        u = lv or lw
+        if not u:
+            return 0
+        sign = self._signs.get(u)
+        if sign is None:
+            sign = self._signs[u] = self._first_difference(u, ())
+        return sign if lv else -sign
+
+    def _first_difference(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
+        """+1 or -1 as the image of lv is above or below that of lw.
+
+        The two letter sequences must differ and must not start with the same
+        letter, so that lw^-1 * lv is reduced as written.
+
+        Degrees 1, 2, ... are compared in turn up to the cap, and the first
+        degree whose components differ decides at its least differing monomial.
+        The default cap is the syllable count of lw^-1 * lv: if that reduced word
+        is x_i1^e1 ... x_ik^ek with adjacent generators distinct, its image has
+        the coefficient e1*...*ek != 0 at X_i1...X_ik (Magnus 1935), so the
+        images of lv and lw differ at degree k or below and only an explicit cap
+        can run out. It is counted only once degree 2 ties too: a tie at degree 1
+        means every exponent sum of lw^-1 * lv is zero, so the word uses at least
+        two generators, each in at least two syllables, and its cap is at least 4.
+        """
+        cap, place, store = self.cap, self._place, self._store
+        cv = cw = ()
+        degree = 1
+        while True:
+            if len(cv) <= degree:
+                cv = _components(store, lv, degree, place)
+            if len(cw) <= degree:
+                cw = _components(store, lw, degree, place)
+            a, b = cv[degree], cw[degree]
+            if a != b:
+                first, _ = min(a.items() ^ b.items())
+                return 1 if a.get(first, 0) > b.get(first, 0) else -1
+            if cap is None and degree == 2:
+                # Reversing lw keeps its generator sequence aligned with lw^-1, and
+                # the junction with lv cannot cancel since the first letters differ.
+                cap = _syllable_count(lw[::-1] + lv)
+            if cap is not None and degree >= cap:
+                raise UndecidedAtCapError(
+                    f"distinct words compared equal up to the cap of degree {cap} "
+                    f"(lengths {len(lv)} and {len(lw)} without common ends); raise the cap"
+                )
+            degree += 1
+
+    def _sign_letters(self, letters: tuple[Letter, ...]) -> int:
+        sign = self._signs.get(letters)
+        return self._compare_letters(letters, ()) if sign is None else sign
+
+    def _prefix_signs(self, letters: tuple[Letter, ...]) -> list[int]:
+        """``[0]`` and then the sign of every nonempty prefix of letters.
+
+        Degree 1 of a word's image is its exponent-sum vector (Magnus 1935),
+        so a prefix takes the sign of its first nonzero sum in precedence
+        order. Only balanced prefixes reach the series kernel, in prefix
+        order, so an explicit cap raises where signing each prefix would.
+        """
+        place, sums, out = self._place, [0] * self.rank, [0]
+        for l, (generator, sign) in enumerate(letters, 1):
+            if generator >= len(place):
+                raise ValueError(f"generator {generator} outside rank {self.rank}")
+            sums[place[generator]] += sign
+            for total in sums:
+                if total:
+                    out.append(1 if total > 0 else -1)
+                    break
+            else:
+                out.append(self._sign_letters(letters[:l]))
+        return out
+
+    def _cyclic_signs(self, w: Word) -> CyclicSigns:
+        """The sign table of w, kept until a table of another word is asked for."""
+        table = self._table
+        if table is None or table.word != w:
+            table = self._table = CyclicSigns(w, self._prefix_signs)
+        return table
 
 
 def magnus_compare_words(
@@ -376,11 +441,110 @@ def magnus_compare_words(
 
     Returns EQUAL only for identical reduced words. An explicit ``cap`` below
     the degree that separates two distinct words raises
-    :class:`UndecidedAtCapError`; the default cap never does. The images are
-    grown in a fresh store of homogeneous components.
+    :class:`UndecidedAtCapError`; the default cap never does. The comparison
+    runs on a fresh :class:`MagnusOrder`, so nothing is cached across calls.
     """
-    if v.rank != w.rank:
-        raise ValueError("cannot compare words of different ranks")
-    place = _places(precedence, v.rank)
-    _check_cap(cap)
-    return _ORDERINGS[_compare_letters(v.letters, w.letters, cap, place, {}, {})]
+    return MagnusOrder(v.rank, precedence, cap).compare(v, w)
+
+
+class CyclicSigns:
+    """The signs of all cyclic subwords of one word, which every audit reads.
+
+    ``sg[s][l]`` is the sign of the cyclic subword of w that starts at s and
+    has length l, for 0 <= s < n and 1 <= l <= n (``sg[s][0]`` is the empty
+    word's 0), as ``prefix_signs`` gives it for ``rows[s]``. Row r holds the
+    letters of rotation-set element r: w rotated by r for r < n and w^-1
+    rotated by r - n after that. Span [i, j) of a rotation of w^-1 is the
+    inverse of the cyclic subword of w at ((-r - j) mod n, j - i), so its
+    sign is the negative of that subword's, and it is an ascent exactly when
+    that subword is a descent.
+    """
+
+    def __init__(self, w: Word, prefix_signs: Callable[[tuple[Letter, ...]], list[int]]) -> None:
+        self.word = w
+        self.rows = _rotation_rows(w.letters)
+        n = self.n = len(w)
+        self.sg = [prefix_signs(self.rows[s]) for s in range(n)]
+        # (low_index, peak_index) of each rotation's prefix_profile.
+        self.low_peak = [self._low_peak(r) for r in range(2 * n)]
+
+    def element(self, r: int) -> Rotation:
+        """Rotation-set element r as a word with its origin."""
+        origin = FROM_WORD if r < self.n else FROM_INVERSE
+        return Rotation(Word(self.rows[r], self.word.rank), origin)
+
+    def starts(self, pattern: tuple[Letter, ...]) -> list[int]:
+        """The rotation-set elements that start with the nonempty pattern, in order.
+
+        Span [i, j) of element r is a prefix of element r rotated by i within
+        its half, so this also places every copy of the pattern: the pattern
+        is uniquely positioned exactly when one element starts with it.
+        """
+        m = len(pattern)
+        return [r for r, row in enumerate(self.rows) if row[:m] == pattern]
+
+    def _monotone(self, s: int, l: int, want: int) -> bool:
+        # Every prefix and every suffix of the cyclic subword (s, l) has sign want.
+        n, sg = self.n, self.sg
+        row = sg[s]
+        return all(want * row[k] > 0 for k in range(1, l + 1)) and all(
+            want * sg[(s + l - k) % n][k] > 0 for k in range(1, l)
+        )
+
+    def _cell(self, r: int, i: int, j: int) -> tuple[int, int, int]:
+        # (s, l, +1) when span [i, j) of rotation r is the cyclic subword
+        # (s, l) of w, (s, l, -1) when it is that subword's inverse.
+        n = self.n
+        if r < n:
+            return (r + i) % n, j - i, 1
+        return (-r - j) % n, j - i, -1
+
+    def sign(self, r: int, i: int, j: int) -> int:
+        """Sign of span [i, j) of rotation r."""
+        s, l, flip = self._cell(r, i, j)
+        return flip * self.sg[s][l]
+
+    def is_ascent(self, r: int, i: int, j: int) -> bool:
+        """True iff the nonempty span [i, j) of rotation r is an ascent."""
+        s, l, flip = self._cell(r, i, j)
+        return self._monotone(s, l, flip)
+
+    def is_descent(self, r: int, i: int, j: int) -> bool:
+        """True iff the nonempty span [i, j) of rotation r is a descent."""
+        s, l, flip = self._cell(r, i, j)
+        return self._monotone(s, l, -flip)
+
+    def hits(self, starts: list[int], m: int) -> list[int]:
+        """How many times a pattern of length m occurs in each rotation-set element.
+
+        ``starts`` is ``self.starts(pattern)``: element p < n starts with the
+        pattern exactly when the pattern starts at cyclic position p of w.
+        Element r < n is w·w read from r for n letters, so that copy lies
+        inside it exactly when ``(p - r) % n <= n - m``; the elements from n
+        on read w^-1 the same way.
+        """
+        n = self.n
+        counts = [0] * (2 * n)
+        for s in starts:
+            base = s - s % n
+            for i in range(n - m + 1):
+                counts[base + (s - i) % n] += 1
+        return counts
+
+    def _low_peak(self, r: int) -> tuple[int, int]:
+        # prefix_profile of rotation r: prefix i against prefix j < i is the
+        # sign of span [j, i), read as in _cell.
+        n, sg = self.n, self.sg
+        peak = low = 0
+        for i in range(1, n + 1):
+            if r < n:
+                above = sg[(r + peak) % n][i - peak] > 0
+                below = sg[(r + low) % n][i - low] < 0
+            else:
+                row = sg[(-r - i) % n]
+                above, below = row[i - peak] < 0, row[i - low] > 0
+            if above:
+                peak = i
+            if below:
+                low = i
+        return low, peak

@@ -23,16 +23,14 @@ from .analysis import (  # noqa: F401
     AscentPlacementError,
     Decomposition,
     InvariantViolationError,
-    LengthOneError,
     MagnusOrder,
-    PeriodicWordError,
+    _require_decomposable,
     decompose,
     prefix_profile,
 )
 from .series import UndecidedAtCapError
 from .words import (
     Letter,
-    NotCyclicallyReducedError,
     Word,
     _rotation_rows,
     _unique_from,
@@ -226,12 +224,7 @@ def weinbaum_factorizations(w: Word) -> tuple[tuple[Word, Word], ...]:
     Scans every rotation of w itself (not of the inverse) in offset order and
     every split point in order; nonperiodic cyclically reduced input required.
     """
-    if len(w) <= 1:
-        raise LengthOneError("factorization needs a word of length at least 2")
-    if not w.is_cyclically_reduced:
-        raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
-    if is_periodic(w):
-        raise PeriodicWordError(f"{w!r} is a proper power")
+    _require_decomposable(w, "factorization")
     rows = _rotation_rows(w.letters)
     return tuple(
         (Word(rows[r][:cut], w.rank), Word(rows[r][cut:], w.rank))
@@ -360,30 +353,37 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
     for r, row in enumerate(rows):
         if not hits[r]:
             continue
-        host = Word(row, w.rank)
         if table.sign(r, 0, n) <= 0:
-            anomalies.append(Anomaly("host_not_positive", f"{host} contains {ascent}"))
+            anomalies.append(
+                Anomaly("host_not_positive", f"{Word(row, w.rank)} contains {ascent}")
+            )
         if hits[r] != 1:
             anomalies.append(
-                Anomaly("ascent_repeated_in_host", f"{ascent} occurs {hits[r]}x in {host}")
+                Anomaly(
+                    "ascent_repeated_in_host",
+                    f"{ascent} occurs {hits[r]}x in {Word(row, w.rank)}",
+                )
             )
         # The inverse of rotation r is rotation (n - r) % n of the other word.
         if hits[(n - r) % n + (n if r < n else 0)]:
             anomalies.append(
-                Anomaly("ascent_in_inverse_host", f"{ascent} also occurs in {inverse(host)}")
+                Anomaly(
+                    "ascent_in_inverse_host",
+                    f"{ascent} also occurs in {inverse(Word(row, w.rank))}",
+                )
             )
         low, peak = table.low_peak[r]
         if not (low < peak and row[low:peak] == a_letters):
             anomalies.append(
                 Anomaly(
                     "peak_low_slice_mismatch",
-                    f"host {host}: low {low}, peak {peak}, ascent {ascent}",
+                    f"host {Word(row, w.rank)}: low {low}, peak {peak}, ascent {ascent}",
                 )
             )
         if r in a_starts and n > size:
             if not table.is_descent(r, size, n):
                 anomalies.append(
-                    Anomaly("host_remainder_not_descent", f"{host} after {ascent}")
+                    Anomaly("host_remainder_not_descent", f"{Word(row, w.rank)} after {ascent}")
                 )
 
     weinbaum_count = len(_weinbaum_cuts(_unique_from(rows)))

@@ -2,7 +2,7 @@
 
 ``check_word``, ``_unaudited``, ``weinbaum_factorizations``, ``decompose``,
 ``maximal_ascent`` and ``_locate`` are copied from the library as it was
-before :class:`orderword.analysis.CyclicSigns`, with the decomposition
+before :class:`orderword.series.CyclicSigns`, with the decomposition
 records as the library has them now. ``maximal_ascent`` keeps
 both of its algorithms: the library has only ``"peaklow"`` now, and
 ``"bruteforce"``, which classifies every subword of every rotation, is the

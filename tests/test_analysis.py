@@ -33,8 +33,7 @@ from orderword import (
     rotation_set,
     uniquely_positioned,
 )
-from orderword.analysis import CyclicSigns
-from orderword.series import UndecidedAtCapError
+from orderword.series import CyclicSigns, UndecidedAtCapError
 from orderword.verify import check_word, enumerate_cyclically_reduced, weinbaum_factorizations
 from orderword.words import _rotation_rows, _unique_from
 from wordgen import all_reduced, random_reduced
@@ -357,7 +356,7 @@ def test_decompose_swapped_precedence_goldens(swapped):
 
 
 def test_decompose_preconditions(order):
-    with pytest.raises(LengthOneError):
+    with pytest.raises(LengthOneError, match="^decomposition needs"):
         decompose(P("a"), order)
     with pytest.raises(LengthOneError):
         decompose(identity(2), order)

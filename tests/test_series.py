@@ -29,7 +29,7 @@ from orderword import (
     parse_word,
     series_text,
 )
-from orderword.series import _components, _first_difference, _places
+from orderword.series import _components, _places
 from wordgen import all_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
@@ -329,19 +329,18 @@ def test_commutators_decide_at_their_weight(precedence):
     # The left-normed commutator c_k = [c_(k-1), b], c_1 = a, lies in the k-th
     # term of the lower central series and not in the next, so its image is
     # 1 + (a nonzero degree-k part) + higher terms (Magnus 1935).
-    place = _places(precedence, 2)
     c = P("a")
     for k in range(1, 8):
         if k > 1:
             c = concat(c, P("b"), inverse(c), P("B"))
-        store = {}
-        assert _first_difference(c.letters, (), None, place, store) in (1, -1)
-        components = store[c.letters]
+        order = MagnusOrder(2, precedence)
+        assert order._first_difference(c.letters, ()) in (1, -1)
+        components = order._store[c.letters]
         assert len(components) == k + 1, k  # grown through degree k, no further
         assert not any(components[1:k]) and components[k], k
         if k > 1:
             with pytest.raises(UndecidedAtCapError):
-                _first_difference(c.letters, (), k - 1, place, {})
+                MagnusOrder(2, precedence, cap=k - 1)._first_difference(c.letters, ())
     assert len(c) == 128
 
 
@@ -474,3 +473,18 @@ def test_library_never_calls(name):
                 if called == name:
                     calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_no_module_imports_private_series_names():
+    # The order's kernel is MagnusOrder's own state and methods; other modules
+    # reach it through the class, not through private names of series.
+    imported = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("series", "orderword.series"):
+                imported += [
+                    f"{path.name}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert imported == []

@@ -154,7 +154,7 @@ def test_weinbaum_pairs_really_factor_a_rotation():
 def test_weinbaum_preconditions():
     with pytest.raises(PeriodicWordError):
         weinbaum_factorizations(P("aa"))
-    with pytest.raises(LengthOneError):
+    with pytest.raises(LengthOneError, match="^factorization needs"):
         weinbaum_factorizations(P("a"))
     with pytest.raises(NotCyclicallyReducedError):
         weinbaum_factorizations(P("abA"))
