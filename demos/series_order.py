@@ -9,6 +9,7 @@ series. Comparing images coefficient-by-coefficient orders the words.
 
 from orderword import (
     MagnusOrder,
+    Ordering,
     concat,
     identity,
     inverse,
@@ -39,7 +40,9 @@ print("abAB vs 1:", order.compare(P("abAB"), identity(rank)).value)
 # The four single letters, largest first. Note B > A: at the X1
 # coefficient, A already lost.
 letters = [P(t) for t in ("a", "b", "A", "B")]
-ranked = sorted(letters, key=lambda v: sum(order.less(v, u) for u in letters))
+ranked = sorted(
+    letters, key=lambda v: sum(order.compare(v, u) is Ordering.LESS for u in letters)
+)
 print("letters ranked:", " > ".join(str(v) for v in ranked))
 
 # sign() compares against the identity: +1 above, -1 below, 0 only for 1.

@@ -26,9 +26,8 @@ print("inverse:", inverse(w))
 
 # A cyclically reduced word has 2n rotations: n of the word itself and n
 # of its inverse, each tagged with where it came from.
-rset = rotation_set(w)
-for element in rset.elements:
-    print(f"  {element.origin:<12} {element.word}")
+for word, origin in rotation_set(w):
+    print(f"  {origin:<12} {word}")
 
 # "baaba" is not a proper power, so all five fromW rotations are distinct.
 root, exponent = primitive_root(w)
@@ -37,11 +36,12 @@ print("primitive root:", root, " exponent:", exponent)
 square = parse_word("abab", 2)
 print("primitive root of abab:", *primitive_root(square))
 
-# Occurrences are positioned: the same spelling can appear several times.
-host = parse_word("ababa", 2)
-for occ in occurrences(parse_word("aba", 2), host):
-    kind = "prefix" if occ.is_prefix else "suffix" if occ.is_suffix else "internal"
-    print(f"aba occurs in {host} at offset {occ.start} ({kind})")
+# Occurrences are start offsets: the same spelling can appear several times.
+host, pattern = parse_word("ababa", 2), parse_word("aba", 2)
+for start in occurrences(pattern, host):
+    end = start + len(pattern)
+    kind = "prefix" if start == 0 else "suffix" if end == len(host) else "internal"
+    print(f"aba occurs in {host} at offset {start} ({kind})")
 
 # A word is uniquely positioned when it prefixes exactly one of the 2n
 # rotations. "aa" does; "aba" prefixes both ababa and abaab.

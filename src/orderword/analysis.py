@@ -59,43 +59,22 @@ def is_descent(u: Word, cmp: MagnusOrder) -> bool:
     return _monotone_word(u, cmp, -1)
 
 
-@dataclass(frozen=True)
-class PrefixProfile:
-    """Positions of the order-largest and order-smallest prefix of a word.
+def prefix_profile(w: Word, cmp: MagnusOrder) -> tuple[int, int]:
+    """(low, peak): the lengths of the order-smallest and order-largest prefix of w.
 
     The n+1 prefixes of a reduced word are pairwise distinct group elements,
-    so peak and low are unique; they coincide only for the empty host.
+    so both are unique; they coincide only for the empty word.
     """
-
-    host: Word
-    peak_index: int
-    low_index: int
-
-    @property
-    def peak(self) -> Word:
-        return self.host[: self.peak_index]
-
-    @property
-    def low(self) -> Word:
-        return self.host[: self.low_index]
-
-    @property
-    def degenerate(self) -> bool:
-        return len(self.host) == 0
-
-
-def prefix_profile(w: Word, cmp: MagnusOrder) -> PrefixProfile:
-    """Scan all prefixes of w and record where the order peak and low fall."""
     letters = w.letters
     sign = cmp._sign_letters
-    peak_index = low_index = 0
+    peak = low = 0
     for i in range(1, len(letters) + 1):
         # Prefix i against an earlier prefix j is the sign of letters[j:i].
-        if sign(letters[peak_index:i]) > 0:
-            peak_index = i
-        if sign(letters[low_index:i]) < 0:
-            low_index = i
-    return PrefixProfile(host=w, peak_index=peak_index, low_index=low_index)
+        if sign(letters[peak:i]) > 0:
+            peak = i
+        if sign(letters[low:i]) < 0:
+            low = i
+    return low, peak
 
 
 def ascent_descent_spans(
@@ -180,21 +159,25 @@ def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
     _require_decomposable(w, "decomposition")
     ascent = maximal_ascent(w, cmp)
     table = cmp._cyclic_signs(w)
-    cut = len(ascent)
+    cut, n = len(ascent), len(w)
     # A is a slice of a row, so a prefix of that row rotated: some row starts with it.
     r = table.starts(ascent.letters)[0]
     chosen, origin = table.element(r)
     descent = chosen[cut:]
-    if len(descent) and not table.is_descent(r, cut, len(w)):
-        raise InvariantViolationError(
-            f"remainder {descent!r} after the maximal ascent is not a descent"
-        )
+    descent_unique = None
+    if len(descent):
+        if not table.is_descent(r, cut, n):
+            raise InvariantViolationError(
+                f"remainder {descent!r} after the maximal ascent is not a descent"
+            )
+        # D starts row r rotated by |A| within its half, and is uniquely
+        # positioned when it is a prefix of no other rotation-set element.
+        descent_unique = len(descent) >= table.unique_from[r - r % n + (r + cut) % n]
     return Decomposition(
         source=w,
         chosen=chosen,
         origin=origin,
         ascent=ascent,
         descent=descent,
-        # Uniquely positioned: a prefix of exactly one rotation-set element.
-        descent_unique=len(table.starts(descent.letters)) == 1 if len(descent) else None,
+        descent_unique=descent_unique,
     )

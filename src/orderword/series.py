@@ -18,17 +18,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .words import FROM_INVERSE, FROM_WORD, Letter, Rotation, Word, _rotation_rows
+from .words import FROM_INVERSE, FROM_WORD, Letter, Rotation, Word, _rotation_rows, _unique_from
 
 # A monomial is the tuple of variable indices read left to right:
 # () is the constant term, (1, 2) is X1*X2, (2, 2) is X2^2.
 Monomial = tuple[int, ...]
-
-
-class SeriesOrderOutcome(Enum):
-    GREATER = "greater"
-    LESS = "less"
-    EQUAL_UP_TO_BOUND = "equal_up_to_bound"
 
 
 class Ordering(Enum):
@@ -98,47 +92,47 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.rank, bound, coeffs)
 
 
-def _check_precedence(precedence: tuple[int, ...] | None, rank: int) -> tuple[int, ...]:
+def _places(precedence: tuple[int, ...] | None, rank: int) -> tuple[int, ...]:
+    """``place[g]`` is generator g's position in the enumeration order (0 first).
+
+    Monomials are enumerated by ascending total degree, then lexicographically
+    by their variables' places, so the highest-precedence variable comes first.
+    """
     if precedence is None:
-        return tuple(range(1, rank + 1))
-    if sorted(precedence) != list(range(1, rank + 1)):
+        precedence = range(1, rank + 1)
+    elif sorted(precedence) != list(range(1, rank + 1)):
         raise ValueError(f"precedence {precedence} is not a permutation of 1..{rank}")
-    return tuple(precedence)
-
-
-def _monomial_key(precedence: tuple[int, ...]):
-    # Enumeration order: ascending total degree, then lexicographic with the
-    # highest-precedence variable first within each degree.
-    position = {g: i for i, g in enumerate(precedence)}
-
-    def key(monomial: Monomial):
-        return len(monomial), tuple(position[i] for i in monomial)
-
-    return key
+    place = [0] * (rank + 1)
+    for position, generator in enumerate(precedence):
+        place[generator] = position
+    return tuple(place)
 
 
 def compare_series(
     a: TruncatedSeries,
     b: TruncatedSeries,
     precedence: tuple[int, ...] | None = None,
-) -> SeriesOrderOutcome:
-    """Compare at the first monomial, in enumeration order, whose coefficients differ."""
+) -> Ordering:
+    """Compare at the first monomial, in enumeration order, whose coefficients differ.
+
+    EQUAL means equal through the degree bound.
+    """
     if a.rank != b.rank:
         raise ValueError("cannot compare series of different ranks")
     if a.degree_bound != b.degree_bound:
         raise ValueError("cannot compare series truncated at different bounds")
-    key = _monomial_key(_check_precedence(precedence, a.rank))
+    place = _places(precedence, a.rank)
     differing = [
         m
         for m in set(a.coefficients) | set(b.coefficients)
         if a.coefficients.get(m, 0) != b.coefficients.get(m, 0)
     ]
     if not differing:
-        return SeriesOrderOutcome.EQUAL_UP_TO_BOUND
-    first = min(differing, key=key)
+        return Ordering.EQUAL
+    first = min(differing, key=lambda m: (len(m), [place[i] for i in m]))
     if a.coefficients.get(first, 0) > b.coefficients.get(first, 0):
-        return SeriesOrderOutcome.GREATER
-    return SeriesOrderOutcome.LESS
+        return Ordering.GREATER
+    return Ordering.LESS
 
 
 def _monomial_text(monomial: Monomial) -> str:
@@ -156,8 +150,8 @@ def _monomial_text(monomial: Monomial) -> str:
 
 def series_text(s: TruncatedSeries, precedence: tuple[int, ...] | None = None) -> str:
     """Human-readable rendering in enumeration order, e.g. ``1 + X1 - X2 + O(2)``."""
-    key = _monomial_key(_check_precedence(precedence, s.rank))
-    terms = sorted(s.coefficients.items(), key=lambda item: key(item[0]))
+    place = _places(precedence, s.rank)
+    terms = sorted(s.coefficients.items(), key=lambda t: (len(t[0]), [place[i] for i in t[0]]))
     if not terms:
         rendered = "0"
     else:
@@ -174,14 +168,6 @@ def series_text(s: TruncatedSeries, precedence: tuple[int, ...] | None = None) -
                 chunks.append(("- " if coeff < 0 else "+ ") + body)
         rendered = " ".join(chunks)
     return f"{rendered} + O({s.degree_bound + 1})"
-
-
-def _places(precedence: tuple[int, ...] | None, rank: int) -> tuple[int, ...]:
-    """``place[g]`` is generator g's position in the enumeration order (0 first)."""
-    place = [0] * (rank + 1)
-    for position, generator in enumerate(_check_precedence(precedence, rank)):
-        place[generator] = position
-    return tuple(place)
 
 
 def _syllable_count(letters: tuple[Letter, ...]) -> int:
@@ -323,12 +309,6 @@ class MagnusOrder:
             raise ValueError("cannot compare words of different ranks")
         return _ORDERINGS[self._compare_letters(v.letters, w.letters)]
 
-    def greater(self, v: Word, w: Word) -> bool:
-        return self.compare(v, w) is Ordering.GREATER
-
-    def less(self, v: Word, w: Word) -> bool:
-        return self.compare(v, w) is Ordering.LESS
-
     def sign(self, w: Word) -> int:
         """+1, 0 or -1 as w compares to the identity."""
         return self._sign_letters(w.letters)
@@ -462,11 +442,13 @@ class CyclicSigns:
 
     def __init__(self, w: Word, prefix_signs: Callable[[tuple[Letter, ...]], list[int]]) -> None:
         self.word = w
-        self.rows = _rotation_rows(w.letters)
+        self.rows = _rotation_rows(w)
         n = self.n = len(w)
         self.sg = [prefix_signs(self.rows[s]) for s in range(n)]
-        # (low_index, peak_index) of each rotation's prefix_profile.
+        # prefix_profile(element r): the (low, peak) prefix lengths.
         self.low_peak = [self._low_peak(r) for r in range(2 * n)]
+        # A prefix of row r is uniquely positioned iff its length is at least unique_from[r].
+        self.unique_from = _unique_from(self.rows)
 
     def element(self, r: int) -> Rotation:
         """Rotation-set element r as a word with its origin."""

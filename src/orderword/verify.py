@@ -101,8 +101,7 @@ def _letters_key(letters: tuple[Letter, ...]) -> tuple[tuple[int, int], ...]:
 
 def canonical_representative(w: Word) -> Word:
     """The lexicographically least element of the rotation set of w."""
-    elements = rotation_set(w).elements
-    return min(elements, key=lambda e: _letters_key(e.word.letters)).word
+    return min(rotation_set(w), key=lambda e: _letters_key(e.word.letters)).word
 
 
 def enumerate_cyclically_reduced(rank: int, length: int, dedup: str = "none") -> Iterator[Word]:
@@ -225,7 +224,7 @@ def weinbaum_factorizations(w: Word) -> tuple[tuple[Word, Word], ...]:
     every split point in order; nonperiodic cyclically reduced input required.
     """
     _require_decomposable(w, "factorization")
-    rows = _rotation_rows(w.letters)
+    rows = _rotation_rows(w)
     return tuple(
         (Word(rows[r][:cut], w.rank), Word(rows[r][cut:], w.rank))
         for r, cut in _weinbaum_cuts(_unique_from(rows))
@@ -386,7 +385,7 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
                     Anomaly("host_remainder_not_descent", f"{Word(row, w.rank)} after {ascent}")
                 )
 
-    weinbaum_count = len(_weinbaum_cuts(_unique_from(rows)))
+    weinbaum_count = len(_weinbaum_cuts(table.unique_from))
     if not weinbaum_count:
         anomalies.append(Anomaly("no_weinbaum_factorization", str(w)))
 

@@ -96,53 +96,6 @@ class Rotation(NamedTuple):
     origin: str
 
 
-@dataclass(frozen=True)
-class RotationSet:
-    """All cyclic permutations of a word and of its inverse, in offset order.
-
-    ``elements`` lists the n rotations of the host first (origin "fromW",
-    offsets 0..n-1) and then the n rotations of its inverse ("fromInverse").
-    The list is positional: for a periodic host it contains repeats.
-    """
-
-    host: Word
-    elements: tuple[Rotation, ...]
-
-
-@dataclass(frozen=True)
-class Occurrence:
-    """A positioned match of a pattern inside a host word."""
-
-    host: Word
-    start: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("occurrence length must be positive")
-        if not 0 <= self.start <= len(self.host) - self.length:
-            raise ValueError("occurrence does not fit inside its host")
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
-    @property
-    def is_prefix(self) -> bool:
-        return self.start == 0
-
-    @property
-    def is_suffix(self) -> bool:
-        return self.end == len(self.host)
-
-    @property
-    def is_internal(self) -> bool:
-        return not self.is_prefix and not self.is_suffix
-
-    def word(self) -> Word:
-        return self.host[self.start : self.end]
-
-
 def identity(rank: int) -> Word:
     """The empty word of the given rank."""
     return Word((), rank)
@@ -228,21 +181,23 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     return core, conjugator
 
 
-def rotation_set(w: Word) -> RotationSet:
-    """All cyclic permutations of w and of w^-1, tagged with their origin.
+def rotation_set(w: Word) -> tuple[Rotation, ...]:
+    """All cyclic permutations of w and of w^-1, tagged with their origin, in offset order.
 
+    The n rotations of w come first (origin "fromW", offsets 0..n-1), then the
+    n rotations of w^-1 ("fromInverse"); for a periodic host there are repeats.
     Requires a cyclically reduced host, so every element is again reduced and
     cyclically reduced, and equals U^-1 w U (or U^-1 w^-1 U) for the split prefix U.
     """
+    origins = [FROM_WORD] * len(w) + [FROM_INVERSE] * len(w)
+    return tuple(Rotation(Word(row, w.rank), o) for row, o in zip(_rotation_rows(w), origins))
+
+
+def _rotation_rows(w: Word) -> list[tuple[Letter, ...]]:
+    """The rotation set's elements as letters: w rotated by r, then w^-1 rotated by r."""
     if not w.is_cyclically_reduced:
         raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
-    origins = [FROM_WORD] * len(w) + [FROM_INVERSE] * len(w)
-    rows = _rotation_rows(w.letters)
-    return RotationSet(w, tuple(Rotation(Word(row, w.rank), o) for row, o in zip(rows, origins)))
-
-
-def _rotation_rows(letters: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
-    """The rotation set's elements as letters: w rotated by r, then w^-1 rotated by r."""
+    letters = w.letters
     inv = tuple(Letter(g, -s) for g, s in reversed(letters))
     return [source[r:] + source[:r] for source in (letters, inv) for r in range(len(letters))]
 
@@ -275,11 +230,11 @@ def _kmp_table(pattern: tuple[Letter, ...]) -> list[int]:
     return table
 
 
-def occurrences(pattern: Word, host: Word) -> tuple[Occurrence, ...]:
-    """All (possibly overlapping) positioned matches of pattern inside host.
+def occurrences(pattern: Word, host: Word) -> tuple[int, ...]:
+    """Start offsets of all (possibly overlapping) matches of pattern inside host.
 
-    >>> [o.start for o in occurrences(parse_word("aba", 2), parse_word("ababa", 2))]
-    [0, 2]
+    >>> occurrences(parse_word("aba", 2), parse_word("ababa", 2))
+    (0, 2)
     """
     if len(pattern) == 0:
         raise ValueError("pattern must be nonempty")
@@ -297,7 +252,7 @@ def occurrences(pattern: Word, host: Word) -> tuple[Occurrence, ...]:
         if letter == pat[k]:
             k += 1
         if k == len(pat):
-            found.append(Occurrence(host, i - k + 1, len(pat)))
+            found.append(i - k + 1)
             k = table[k - 1]
     return tuple(found)
 
@@ -335,9 +290,7 @@ def uniquely_positioned(u: Word, w: Word) -> bool:
         raise ValueError("host word must be nonempty")
     if u.rank != w.rank:
         raise ValueError("word ranks differ")
-    if not w.is_cyclically_reduced:
-        raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
-    rows, size = _rotation_rows(w.letters), len(u)
+    rows, size = _rotation_rows(w), len(u)
     r = next((r for r, row in enumerate(rows) if row[:size] == u.letters), None)
     return r is not None and size >= _unique_from(rows)[r]
 

@@ -96,7 +96,7 @@ def maximal_ascent(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Max
     """
     if len(w) == 0:
         raise ValueError("the empty word has no ascent")
-    elements = rotation_set(w).elements
+    elements = rotation_set(w)
     candidates: set[tuple[Letter, ...]] = set()
     if algorithm == "bruteforce":
         for element in elements:
@@ -105,9 +105,9 @@ def maximal_ascent(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Max
             candidates.update(letters[i:j] for i, j in spans)
     elif algorithm == "peaklow":
         for element in elements:
-            profile = prefix_profile(element.word, cmp)
-            if profile.low_index < profile.peak_index:
-                candidates.add(element.word.letters[profile.low_index : profile.peak_index])
+            low, peak = prefix_profile(element.word, cmp)
+            if low < peak:
+                candidates.add(element.word.letters[low:peak])
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if not candidates:
@@ -133,7 +133,7 @@ def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decompos
     if is_periodic(w):
         raise PeriodicWordError(f"{w!r} is a proper power")
     found = maximal_ascent(w, cmp, algorithm=algorithm)
-    elements = rotation_set(w).elements
+    elements = rotation_set(w)
     ascent_letters = found.ascent.letters
     chosen = origin = None
     for element in elements:
@@ -169,7 +169,7 @@ def weinbaum_factorizations(w: Word) -> tuple[tuple[Word, Word], ...]:
         raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
     if is_periodic(w):
         raise PeriodicWordError(f"{w!r} is a proper power")
-    elements = rotation_set(w).elements
+    elements = rotation_set(w)
     n = len(w)
     unique_memo: dict[tuple[Letter, ...], bool] = {}
 
@@ -217,7 +217,7 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
 
     anomalies: list[Anomaly] = []
     monotonic = is_monotonic(w)
-    elements = rotation_set(w).elements
+    elements = rotation_set(w)
     ascent = dec.ascent
     descent = dec.descent
 
@@ -244,14 +244,14 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
         descent_status = "unique" if dec.descent_unique else "internal_in_A"
         boundary = len(ascent)
         wrapped = concat(dec.chosen, dec.chosen[: len(descent) - 1])
-        for occ in occurrences(descent, wrapped):
-            if occ.start == boundary:
+        for start in occurrences(descent, wrapped):
+            if start == boundary:
                 continue
-            if occ.start < 1 or occ.end > boundary - 1:
+            if start < 1 or start + len(descent) > boundary - 1:
                 anomalies.append(
                     Anomaly(
                         "descent_occurrence_outside_ascent",
-                        f"{descent} recurs at offset {occ.start} of {dec.chosen}",
+                        f"{descent} recurs at offset {start} of {dec.chosen}",
                     )
                 )
 
@@ -281,8 +281,7 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
             anomalies.append(
                 Anomaly("ascent_in_inverse_host", f"{ascent} also occurs in {inverse(host)}")
             )
-        profile = prefix_profile(host, cmp)
-        low, peak = profile.low_index, profile.peak_index
+        low, peak = prefix_profile(host, cmp)
         if not (low < peak and host.letters[low:peak] == ascent.letters):
             anomalies.append(
                 Anomaly(

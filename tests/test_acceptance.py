@@ -17,7 +17,6 @@ import check_word_oracle as oracle
 from orderword import (
     MagnusOrder,
     Ordering,
-    SeriesOrderOutcome,
     TruncatedSeries,
     compare_series,
     concat,
@@ -61,7 +60,7 @@ def test_golden_series():
 def test_golden_ordering():
     bigger = TruncatedSeries(2, 1, {(): 1, (1,): 1, (2,): 3})
     smaller = TruncatedSeries(2, 1, {(): 1, (1,): 1, (2,): 1})
-    assert compare_series(bigger, smaller) is SeriesOrderOutcome.GREATER
+    assert compare_series(bigger, smaller) is Ordering.GREATER
     _passed("golden ordering", "1 + X1 + 3X2 > 1 + X1 + X2 at the X2 coefficient")
 
 

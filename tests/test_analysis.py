@@ -74,7 +74,7 @@ def test_sign_of_letters(order):
 
 def test_single_letters_are_totally_ordered(order):
     ranked = sorted(["a", "b", "A", "B"], key=lambda t: sum(
-        order.less(P(t), P(u)) for u in ("a", "b", "A", "B")
+        order.compare(P(t), P(u)) is Ordering.LESS for u in ("a", "b", "A", "B")
     ))
     assert ranked == ["a", "b", "B", "A"]  # a > b > B > A
 
@@ -83,8 +83,8 @@ def test_order_transitivity_sampled(order):
     rng = random.Random(301)
     for _ in range(150):
         x, y, z = (random_reduced(rng, rng.randint(0, 5)) for _ in range(3))
-        if order.greater(x, y) and order.greater(y, z):
-            assert order.greater(x, z)
+        if order.compare(x, y) is order.compare(y, z) is Ordering.GREATER:
+            assert order.compare(x, z) is Ordering.GREATER
 
 
 # ---------------------------------------------------------------- ascents and descents
@@ -119,39 +119,31 @@ def test_positive_words_are_ascents(order):
 # ---------------------------------------------------------------- prefix profiles
 
 def test_prefix_profile_goldens(order):
-    profile = prefix_profile(P("abAB"), order)
-    assert (profile.peak_index, profile.low_index) == (2, 0)
-    assert str(profile.peak) == "ab"
-    assert profile.low == identity(2)
-    assert not profile.degenerate
-
-    profile = prefix_profile(P("aB"), order)
-    assert (profile.peak_index, profile.low_index) == (1, 0)
+    # (low, peak): the peak prefix of abAB is ab, the low one the identity.
+    assert prefix_profile(P("abAB"), order) == (0, 2)
+    assert prefix_profile(P("aB"), order) == (0, 1)
 
 
 def test_prefix_profile_of_empty_word_is_degenerate(order):
-    profile = prefix_profile(identity(2), order)
-    assert (profile.peak_index, profile.low_index) == (0, 0)
-    assert profile.degenerate
+    # The only word whose low and peak prefixes coincide.
+    assert prefix_profile(identity(2), order) == (0, 0)
 
 
 def test_prefix_profile_extremes_are_argmax_argmin(order):
     rng = random.Random(302)
     for _ in range(30):
         w = random_reduced(rng, rng.randint(1, 6))
-        profile = prefix_profile(w, order)
+        low, peak = prefix_profile(w, order)
         prefixes = [w[:i] for i in range(len(w) + 1)]
         for i, prefix in enumerate(prefixes):
-            if i != profile.peak_index:
-                assert order.greater(prefixes[profile.peak_index], prefix)
-            if i != profile.low_index:
-                assert order.less(prefixes[profile.low_index], prefix)
+            if i != peak:
+                assert order.compare(prefixes[peak], prefix) is Ordering.GREATER
+            if i != low:
+                assert order.compare(prefixes[low], prefix) is Ordering.LESS
 
 
 def test_monotonic_positive_word_peaks_at_full_length(order):
-    profile = prefix_profile(P("baaba"), order)
-    assert profile.peak_index == 5
-    assert profile.low_index == 0
+    assert prefix_profile(P("baaba"), order) == (0, 5)
 
 
 # ---------------------------------------------------------------- span classification
@@ -185,14 +177,16 @@ def test_cyclic_signs_match_every_rotation(order, swapped):
         for n in range(1, 7):
             for w in enumerate_cyclically_reduced(2, n):
                 table = CyclicSigns(w, cmp._prefix_signs)
-                elements = rotation_set(w).elements
-                assert [table.element(r) for r in range(2 * n)] == list(elements)
+                elements = rotation_set(w)
+                assert tuple(table.element(r) for r in range(2 * n)) == elements
                 assert table.rows == [e.word.letters for e in elements]
                 for r, element in enumerate(elements):
                     host = element.word
                     ascents, descents = ascent_descent_spans(host, cmp)
-                    profile = prefix_profile(host, cmp)
-                    assert table.low_peak[r] == (profile.low_index, profile.peak_index)
+                    assert table.low_peak[r] == prefix_profile(host, cmp)
+                    for l in range(1, n + 1):
+                        unique = oracle._prefix_count(host.letters[:l], elements) == 1
+                        assert (l >= table.unique_from[r]) == unique, (str(w), r, l)
                     for i in range(n):
                         for j in range(i + 1, n + 1):
                             piece = host[i:j]
@@ -239,8 +233,8 @@ def test_unique_from_matches_prefix_counts(rank, top):
     cmp = MagnusOrder(rank)
     for n in range(1, top + 1):
         for w in enumerate_cyclically_reduced(rank, n):
-            elements = rotation_set(w).elements
-            rows = _rotation_rows(w.letters)
+            elements = rotation_set(w)
+            rows = _rotation_rows(w)
             u = _unique_from(rows)
             for r, row in enumerate(rows):
                 for l in range(1, n + 1):
@@ -260,7 +254,7 @@ def test_cyclic_hits_match_occurrences(rank, top):
             if is_periodic(w):
                 continue
             table = CyclicSigns(w, lambda row: [0] * (len(row) + 1))
-            elements = rotation_set(w).elements
+            elements = rotation_set(w)
             patterns = {
                 (e.word.letters * 2)[s : s + l]
                 for e in elements[::n]
@@ -293,6 +287,10 @@ def test_maximal_ascent_goldens(order):
 def test_maximal_ascent_validation(order):
     with pytest.raises(ValueError):
         maximal_ascent(identity(2), order)
+    # Not cyclically reduced: the table would sign unreduced rows such as Aa.
+    for text in ("abA", "aabA"):
+        with pytest.raises(NotCyclicallyReducedError):
+            maximal_ascent(P(text), order)
 
 
 def test_bruteforce_and_peaklow_agree_small(order, swapped):
@@ -311,13 +309,13 @@ def test_maximal_ascent_is_actually_maximal(order):
         if not w.is_cyclically_reduced:
             continue
         best = maximal_ascent(w, order)
-        for element in rotation_set(w).elements:
+        for element in rotation_set(w):
             host = element.word
             for i in range(len(host)):
                 for j in range(i + 1, len(host) + 1):
                     piece = host[i:j]
                     if is_ascent(piece, order) and piece != best:
-                        assert order.greater(best, piece)
+                        assert order.compare(best, piece) is Ordering.GREATER
 
 
 # ---------------------------------------------------------------- decomposition
@@ -378,10 +376,7 @@ def test_decompose_invariants_exhaustive(order):
             # chosen is the plain concatenation, with no cancellation.
             assert dec.chosen.letters == dec.ascent.letters + dec.descent.letters
             # chosen really is an element of the rotation set, with its tag.
-            members = [
-                (e.word, e.origin) for e in rotation_set(w).elements
-            ]
-            assert (dec.chosen, dec.origin) in members
+            assert (dec.chosen, dec.origin) in rotation_set(w)
             if dec.descent_empty:
                 assert dec.descent_unique is None
             else:
@@ -442,7 +437,7 @@ def test_descent_copies_in_the_inverse_lie_inside_its_ascent():
             for w in enumerate_cyclically_reduced(rank, n, dedup="rotation_class"):
                 if is_periodic(w):
                     continue
-                for row in _rotation_rows(w.letters):
+                for row in _rotation_rows(w):
                     doubled = inverse(Word(row, rank)).letters * 2
                     for cut in range(1, n):
                         d = row[cut:]

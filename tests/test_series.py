@@ -15,7 +15,6 @@ from orderword import (
     MagnusOrder,
     MuCache,
     Ordering,
-    SeriesOrderOutcome,
     TruncatedSeries,
     UndecidedAtCapError,
     Word,
@@ -193,31 +192,31 @@ def test_truncate_drops_high_terms_and_refuses_extension():
 def test_compare_series_golden():
     bigger = TruncatedSeries(2, 1, {(): 1, (1,): 1, (2,): 3})
     smaller = TruncatedSeries(2, 1, {(): 1, (1,): 1, (2,): 1})
-    assert compare_series(bigger, smaller) is SeriesOrderOutcome.GREATER
-    assert compare_series(smaller, bigger) is SeriesOrderOutcome.LESS
+    assert compare_series(bigger, smaller) is Ordering.GREATER
+    assert compare_series(smaller, bigger) is Ordering.LESS
 
 
 def test_compare_series_equal_and_x1_before_x2():
     s = mu(P("a"), 2)
-    assert compare_series(s, s) is SeriesOrderOutcome.EQUAL_UP_TO_BOUND
+    assert compare_series(s, s) is Ordering.EQUAL
     with_x1 = TruncatedSeries(2, 1, {(): 1, (1,): 1})
     with_x2 = TruncatedSeries(2, 1, {(): 1, (2,): 1})
-    assert compare_series(with_x1, with_x2) is SeriesOrderOutcome.GREATER
+    assert compare_series(with_x1, with_x2) is Ordering.GREATER
 
 
 def test_compare_series_orders_degree_before_lex():
     # A degree-1 difference must dominate any degree-2 difference.
     a = TruncatedSeries(2, 2, {(): 1, (2,): 1})
     b = TruncatedSeries(2, 2, {(): 1, (1, 1): 50})
-    assert compare_series(a, b) is SeriesOrderOutcome.GREATER
+    assert compare_series(a, b) is Ordering.GREATER
 
 
 def test_compare_series_lex_within_degree_two():
     # Enumeration within degree 2: X1X1, X1X2, X2X1, X2X2.
     x1x2 = TruncatedSeries(2, 2, {(1, 2): 1})
     x2x1 = TruncatedSeries(2, 2, {(2, 1): 1})
-    assert compare_series(x1x2, x2x1) is SeriesOrderOutcome.GREATER
-    assert compare_series(x1x2, x2x1, precedence=(2, 1)) is SeriesOrderOutcome.LESS
+    assert compare_series(x1x2, x2x1) is Ordering.GREATER
+    assert compare_series(x1x2, x2x1, precedence=(2, 1)) is Ordering.LESS
 
 
 def test_compare_series_validation():
@@ -225,8 +224,15 @@ def test_compare_series_validation():
         compare_series(oracle.one(2, 1), oracle.one(2, 2))
     with pytest.raises(ValueError):
         compare_series(oracle.one(2, 1), oracle.one(3, 1))
-    with pytest.raises(ValueError):
+    # The order, compare_series and series_text check a precedence in one place.
+    bad = r"^precedence \(1, 1\) is not a permutation of 1\.\.2$"
+    with pytest.raises(ValueError, match=bad):
         compare_series(oracle.one(2, 1), oracle.one(2, 1), precedence=(1, 1))
+    with pytest.raises(ValueError, match=bad):
+        series_text(oracle.one(2, 1), precedence=(1, 1))
+    with pytest.raises(ValueError, match=bad):
+        MagnusOrder(2, precedence=(1, 1))
+
 
 
 # ---------------------------------------------------------------- rendering
@@ -347,18 +353,13 @@ def test_commutators_decide_at_their_weight(precedence):
 def test_order_matches_reference_series():
     # Two words of length <= top always separate by degree 2 * top, their
     # combined length. Rank 3 is the path that rank-3 verification runs.
-    outcome = {
-        SeriesOrderOutcome.GREATER: Ordering.GREATER,
-        SeriesOrderOutcome.LESS: Ordering.LESS,
-        SeriesOrderOutcome.EQUAL_UP_TO_BOUND: Ordering.EQUAL,
-    }
     for rank, top in ((2, 4), (3, 3)):
         words = [w for n in range(0, top + 1) for w in all_reduced(rank, n)]
         images = {w: oracle.mu(w, 2 * top) for w in words}
         for precedence in (tuple(range(1, rank + 1)), tuple(range(rank, 0, -1))):
             order = MagnusOrder(rank, precedence=precedence)
             for v, w in product(words, repeat=2):
-                expected = outcome[compare_series(images[v], images[w], precedence)]
+                expected = compare_series(images[v], images[w], precedence)
                 assert order.compare(v, w) is expected, (str(v), str(w), precedence)
 
 
@@ -367,10 +368,6 @@ def test_explicit_cap_matches_reference_series():
     # images truncated at the cap agree, and decide as they do elsewhere.
     words = [w for n in range(0, 5) for w in all_reduced(2, n)]
     assert len(words) == 161
-    outcome = {
-        SeriesOrderOutcome.GREATER: Ordering.GREATER,
-        SeriesOrderOutcome.LESS: Ordering.LESS,
-    }
     undecided = 0
     for precedence in ((1, 2), (2, 1)):
         for cap in range(1, 6):
@@ -380,12 +377,12 @@ def test_explicit_cap_matches_reference_series():
                 expected = compare_series(images[v], images[w], precedence)
                 if v == w:
                     assert order.compare(v, w) is Ordering.EQUAL
-                elif expected is SeriesOrderOutcome.EQUAL_UP_TO_BOUND:
+                elif expected is Ordering.EQUAL:
                     with pytest.raises(UndecidedAtCapError, match=f"cap of degree {cap} "):
                         order.compare(v, w)
                     undecided += 1
                 else:
-                    assert order.compare(v, w) is outcome[expected], (str(v), str(w), cap)
+                    assert order.compare(v, w) is expected, (str(v), str(w), cap)
     assert undecided == 1424
 
 

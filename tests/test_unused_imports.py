@@ -1,4 +1,7 @@
-"""Every name a library module, test or demo imports is used there, or marked as kept."""
+"""Every name a library module, test or demo imports is used there, or marked as kept.
+
+Every private module-level name of the library is also used somewhere in it.
+"""
 
 from __future__ import annotations
 
@@ -48,3 +51,63 @@ def test_guard_sees_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert _unused_imports(module) == ["sample.py:1: takewhile"]
+
+
+def _unused_private_names(paths: list[Path]) -> list[str]:
+    """Module-level ``_``-prefixed functions, classes and constants that no file names.
+
+    A name counts as used when some file in ``paths`` reads it, as a plain
+    name or as an attribute; its definition and imports of it do not count.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unused += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in used
+            ]
+    return unused
+
+
+def test_no_unused_private_library_names():
+    assert _unused_private_names(sorted((ROOT / "src" / "orderword").glob("*.py"))) == []
+
+
+def test_guard_sees_an_unused_private_name(tmp_path):
+    sample, user = tmp_path / "sample.py", tmp_path / "user.py"
+    sample.write_text(
+        "_LIMIT = 3\n"
+        "_spare: int = 0\n"
+        "__version__ = '1'\n"
+        "def _helper(x):\n"
+        "    return x + _LIMIT\n"
+        "def _orphan():\n"
+        "    _orphan_local = 1\n"
+        "class _Shape:\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    user.write_text(
+        "from sample import _helper, _orphan\n"
+        "import sample\n"
+        "print(_helper(1), sample._Shape)\n",
+        encoding="utf-8",
+    )
+    assert _unused_private_names([sample, user]) == ["sample.py:2: _spare", "sample.py:6: _orphan"]

@@ -30,6 +30,7 @@ from orderword import (
     write_report,
 )
 from orderword import verify
+from orderword.series import CyclicSigns
 from orderword.verify import REPORT_SCHEMA
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
@@ -120,7 +121,7 @@ def test_canonical_representative_properties():
     for text in ("abAB", "baaba", "bA"):
         w = P(text)
         rep = canonical_representative(w)
-        members = [e.word for e in rotation_set(w).elements]
+        members = [e.word for e in rotation_set(w)]
         assert rep in members
         assert canonical_representative(rep) == rep
         for member in members:
@@ -143,7 +144,7 @@ def test_weinbaum_pairs_really_factor_a_rotation():
     for text in ("ab", "baaba", "abAB", "aaB"):
         w = P(text)
         rotations = {
-            e.word.letters for e in rotation_set(w).elements if e.origin == "fromW"
+            e.word.letters for e in rotation_set(w) if e.origin == "fromW"
         }
         for u, v in weinbaum_factorizations(w):
             assert len(u) and len(v)
@@ -225,6 +226,28 @@ def test_check_word_clean_through_length_five(order):
             assert report.ok, (str(w), [a.label for a in report.anomalies])
             assert report.weinbaum_count >= 1
             assert (report.descent_status == "empty") == report.monotonic
+
+
+def test_check_word_scans_each_pattern_once(monkeypatch):
+    # decompose places A, and check_word counts A's copies and places D's.
+    # Whether D is uniquely positioned, and the Weinbaum count, are read from
+    # the table's unique_from instead of another scan.
+    calls = []
+    starts = CyclicSigns.starts
+
+    def counted(table, pattern):
+        calls.append(pattern)
+        return starts(table, pattern)
+
+    monkeypatch.setattr(CyclicSigns, "starts", counted)
+    for cmp in (MagnusOrder(2), MagnusOrder(2, precedence=(2, 1))):
+        for n in range(2, 8):
+            for w in enumerate_cyclically_reduced(2, n, dedup="rotation_class"):
+                if is_periodic(w):
+                    continue
+                calls.clear()
+                report = check_word(w, cmp)
+                assert len(calls) == (2 if report.descent_status == "empty" else 3), str(w)
 
 
 def test_anomaly_and_report_shapes():
