@@ -142,6 +142,7 @@ class Decomposition:
     origin: str
     ascent: Word
     descent: Word
+    ascent_unique: bool
     descent_unique: bool | None
 
     @property
@@ -164,6 +165,8 @@ def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
     r = table.starts(ascent.letters)[0]
     chosen, origin = table.element(r)
     descent = chosen[cut:]
+    # A prefix of row r is uniquely positioned iff it is at least unique_from[r] long.
+    ascent_unique = cut >= table.unique_from[r]
     descent_unique = None
     if len(descent):
         if not table.is_descent(r, cut, n):
@@ -179,5 +182,6 @@ def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
         origin=origin,
         ascent=ascent,
         descent=descent,
+        ascent_unique=ascent_unique,
         descent_unique=descent_unique,
     )

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import AscentPlacementError, InvariantViolationError, MagnusOrder, decompose
 from .series import UndecidedAtCapError, mu, series_text
 from .verify import check_word, run_campaign, weinbaum_factorizations
-from .words import _MAX_TEXT_GENERATORS, parse_word, uniquely_positioned
+from .words import _MAX_TEXT_GENERATORS, parse_word
 
 # Largest number of monomials, sum of rank**d over d <= degree, that
 # ``series --degree`` may expand: degree 18 at rank 2, 12 at rank 3.
@@ -19,6 +20,11 @@ MAX_SERIES_TERMS = 1_000_000
 MAX_SERIES_DEGREE = 64
 
 
+# Built on the first main call, not at import, and shared by every later call:
+# parse_args reads the parser and returns a fresh namespace each time. Only a
+# caller that runs main many times in one process gains; a one-word
+# ``orderword`` process builds the parser once either way.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--rank", type=int, default=2, help="alphabet size (default 2)")
@@ -115,7 +121,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     word = parse_word(args.word, args.rank)
     dec = decompose(word, _order(args))
-    ascent_unique = "yes" if uniquely_positioned(dec.ascent, word) else "no"
+    ascent_unique = "yes" if dec.ascent_unique else "no"
     if dec.descent_unique is None:
         descent_unique = "n/a"
     else:

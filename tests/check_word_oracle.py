@@ -153,6 +153,7 @@ def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decompos
         origin=origin,
         ascent=found.ascent,
         descent=descent,
+        ascent_unique=_prefix_count(ascent_letters, elements) == 1,
         descent_unique=_prefix_count(descent.letters, elements) == 1 if len(descent) else None,
     )
 

@@ -377,6 +377,7 @@ def test_decompose_invariants_exhaustive(order):
             assert dec.chosen.letters == dec.ascent.letters + dec.descent.letters
             # chosen really is an element of the rotation set, with its tag.
             assert (dec.chosen, dec.origin) in rotation_set(w)
+            assert dec.ascent_unique == uniquely_positioned(dec.ascent, w)
             if dec.descent_empty:
                 assert dec.descent_unique is None
             else:

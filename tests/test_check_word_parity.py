@@ -157,6 +157,7 @@ def test_check_word_matches_oracle_on_wrong_decompositions(
         origin="fromW",
         ascent=a,
         descent=d,
+        ascent_unique=True,
         descent_unique=True,
     )
     for module in (verify, oracle):

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from orderword import cli, verify
+from orderword.verify import enumerate_cyclically_reduced
+from orderword.words import is_periodic, parse_word, uniquely_positioned
 from orderword.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -114,6 +123,21 @@ def test_decompose_monotonic_word(capsys):
     )
 
 
+@pytest.mark.parametrize("swap", [(), ("--swap-order",)], ids=["canonical", "swapped"])
+def test_decompose_ascent_unique_matches_rotation_oracle(capsys, swap):
+    # The field is Decomposition.ascent_unique, read from the sign table's
+    # uniqueness lengths; uniquely_positioned rebuilds and sorts the rows.
+    for length in range(2, 9):
+        for w in enumerate_cyclically_reduced(2, length, dedup="rotation_class"):
+            if is_periodic(w):
+                continue
+            code, out, err = run(capsys, "decompose", str(w), *swap)
+            assert (code, err) == (0, ""), str(w)
+            field = out.split("A unique: ")[1].split(",")[0]
+            ascent = parse_word(out.split("A = ")[1].split(",")[0], 2)
+            assert field == ("yes" if uniquely_positioned(ascent, w) else "no"), str(w)
+
+
 def test_decompose_periodic_word_exits_two(capsys):
     code, out, err = run(capsys, "decompose", "abab")
     assert code == 2
@@ -123,19 +147,22 @@ def test_decompose_periodic_word_exits_two(capsys):
 
 # ---------------------------------------------------------------- verify
 
+VERIFY_ABAB = [
+    "word: abAB",
+    "W' = abAB (fromW), A = ab, D = AB",
+    "A uniquely positioned: yes",
+    "D status: unique",
+    "monotonic: no",
+    "weinbaum count: 4",
+    "anomalies: none",
+]
+
+
 def test_verify_golden(capsys):
     code, out, err = run(capsys, "verify", "abAB")
     assert code == 0
     assert err == ""
-    assert out.splitlines() == [
-        "word: abAB",
-        "W' = abAB (fromW), A = ab, D = AB",
-        "A uniquely positioned: yes",
-        "D status: unique",
-        "monotonic: no",
-        "weinbaum count: 4",
-        "anomalies: none",
-    ]
+    assert out.splitlines() == VERIFY_ABAB
 
 
 def test_verify_monotonic_word(capsys):
@@ -267,6 +294,76 @@ def test_campaign_accepts_any_rank(capsys, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "campaign", lambda args: seen.append(args.rank) or 0)
     code, _, err = run(capsys, "campaign", "--rank", "27", "--min-len", "2", "--max-len", "2")
     assert (code, err, seen) == (0, "", [27])
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    main(["compare", "a", "b"])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["series", "aB"], ["decompose", "bA"], ["verify", "abAB", "--swap-order"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def _call(capsys, argv: list[str]) -> tuple[int, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SEQUENCE = (
+    ["compare", "a", "b", "--swap-order"],
+    ["compare", "a", "b"],
+    ["verify", "abAB", "--cap", "1"],
+    ["verify", "abAB"],
+    ["verify", "abAB", "--frobnicate"],
+    ["verify", "aA1"],
+    ["series", "aB", "--degree", "1"],
+    ["decompose", "bA"],
+    ["weinbaum", "abAB"],
+    ["verify", "--help"],
+)
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys):
+    first = [_call(capsys, argv) for argv in SEQUENCE]
+    assert [_call(capsys, argv) for argv in SEQUENCE] == first
+    swapped, plain, capped, verified, unknown, invalid, series, dec, weinbaum, helped = first
+    assert swapped == (0, "a < b\n", "")
+    assert plain == (0, "a > b\n", "")
+    assert capped[:2] == (3, "") and capped[2].startswith("anomaly:")
+    assert verified == (0, "\n".join(VERIFY_ABAB) + "\n", "")
+    assert unknown[:2] == (2, "") and "--frobnicate" in unknown[2]
+    assert invalid == (2, "", "error: invalid character '1' in word text\n")
+    assert series == (0, "1 + X1 - X2 + O(2)\n", "")
+    assert dec == (0, "W' = aB (fromInverse), A = a, D = B, A unique: yes, D unique: yes\n", "")
+    assert weinbaum[0] == 0 and weinbaum[1].endswith("count=4\n")
+    with pytest.raises(SystemExit) as excinfo:
+        cli._build_parser.__wrapped__().parse_args(["verify", "--help"])
+    assert excinfo.value.code == 0
+    assert helped == (0, capsys.readouterr().out, "")
+    assert helped[1].startswith("usage: orderword verify")
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_module_entry_point_matches_main(capsys, command):
+    code, out, _ = run(capsys, command, "abAB")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orderword", command, "abAB"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
 def test_unknown_command_is_a_parser_error(capsys):
