@@ -496,22 +496,15 @@ class CyclicSigns:
         s, l, flip = self._cell(r, i, j)
         return self._monotone(s, l, -flip)
 
-    def hits(self, starts: list[int], m: int) -> list[int]:
-        """How many times a pattern of length m occurs in each rotation-set element.
+    def hosts(self, starts: list[int], m: int) -> list[int]:
+        """The rotation-set elements that hold a copy of a pattern of length m, in order.
 
-        ``starts`` is ``self.starts(pattern)``: element p < n starts with the
-        pattern exactly when the pattern starts at cyclic position p of w.
-        Element r < n is w·w read from r for n letters, so that copy lies
-        inside it exactly when ``(p - r) % n <= n - m``; the elements from n
-        on read w^-1 the same way.
+        ``starts`` is ``self.starts(pattern)``: the copy at cyclic position p
+        of w lies inside element r < n, which is w·w read from r for n
+        letters, exactly when ``(p - r) % n <= n - m``; w^-1 likewise from n on.
         """
         n = self.n
-        counts = [0] * (2 * n)
-        for s in starts:
-            base = s - s % n
-            for i in range(n - m + 1):
-                counts[base + (s - i) % n] += 1
-        return counts
+        return sorted({s - s % n + (s - i) % n for s in starts for i in range(n - m + 1)})
 
     def _low_peak(self, r: int) -> tuple[int, int]:
         # prefix_profile of rotation r: prefix i against prefix j < i is the

@@ -11,6 +11,7 @@ matter how many worker processes run the checks.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -34,7 +35,6 @@ from .words import (
     Word,
     _rotation_rows,
     _unique_from,
-    inverse,
     is_monotonic,
     is_periodic,
     rotation_set,
@@ -290,6 +290,15 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
     nonempty reduced word is. A copy that only touched the D^-1 would put a
     letter next to its inverse in a cyclically reduced word. So every copy
     of D in the W^-1 half lies strictly inside A^-1.
+
+    "host_structure" tests that every host of A, an element holding a copy
+    of it, is positive with A as its low-to-peak slice. Three more host facts
+    hold by proof, for any sign function. Two copies of A in one element
+    start at two cyclic positions of one half, and copies in element r and
+    in its inverse start in opposite halves: either way two elements start
+    with A (ascent_not_uniquely_positioned). If just one does, it is the row
+    decompose chose, and decompose raised InvariantViolationError (reported
+    as decomposition_failed) unless its remainder is empty or a descent.
     """
     try:
         dec = decompose(w, cmp)
@@ -348,42 +357,19 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
         )
 
     # Structure of every rotation that contains the maximal ascent.
-    hits = table.hits(a_starts, size)
-    for r, row in enumerate(rows):
-        if not hits[r]:
-            continue
+    for r in table.hosts(a_starts, size):
         if table.sign(r, 0, n) <= 0:
             anomalies.append(
-                Anomaly("host_not_positive", f"{Word(row, w.rank)} contains {ascent}")
-            )
-        if hits[r] != 1:
-            anomalies.append(
-                Anomaly(
-                    "ascent_repeated_in_host",
-                    f"{ascent} occurs {hits[r]}x in {Word(row, w.rank)}",
-                )
-            )
-        # The inverse of rotation r is rotation (n - r) % n of the other word.
-        if hits[(n - r) % n + (n if r < n else 0)]:
-            anomalies.append(
-                Anomaly(
-                    "ascent_in_inverse_host",
-                    f"{ascent} also occurs in {inverse(Word(row, w.rank))}",
-                )
+                Anomaly("host_not_positive", f"{Word(rows[r], w.rank)} contains {ascent}")
             )
         low, peak = table.low_peak[r]
-        if not (low < peak and row[low:peak] == a_letters):
+        if not (low < peak and rows[r][low:peak] == a_letters):
             anomalies.append(
                 Anomaly(
                     "peak_low_slice_mismatch",
-                    f"host {Word(row, w.rank)}: low {low}, peak {peak}, ascent {ascent}",
+                    f"host {Word(rows[r], w.rank)}: low {low}, peak {peak}, ascent {ascent}",
                 )
             )
-        if r in a_starts and n > size:
-            if not table.is_descent(r, size, n):
-                anomalies.append(
-                    Anomaly("host_remainder_not_descent", f"{Word(row, w.rank)} after {ascent}")
-                )
 
     weinbaum_count = len(_weinbaum_cuts(table.unique_from))
     if not weinbaum_count:
@@ -479,6 +465,11 @@ def run_campaign(
         raise ValueError("need 1 <= min_length <= max_length")
     if workers < 1:
         raise ValueError("workers must be positive")
+    # An unwritable report path fails now, not after the whole campaign.
+    if out_path is not None and os.path.isdir(out_path):
+        raise IsADirectoryError(f"report path {out_path!r} is a directory")
+    if out_path is not None and not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise FileNotFoundError(f"no directory for the report path {out_path!r}")
     cmp = MagnusOrder(rank, precedence=precedence, cap=cap)
 
     started = time.perf_counter()

@@ -14,8 +14,13 @@ rotation's spans, prefix profiles and prefix counts from the primitives in
 ``_prefix_count``, lives here, since the library reads unique positioning
 from the rows that start with a pattern and from sorted rotation rows.
 Claim 2 is read round the chosen rotation, as the library reads it.
-``tests/test_check_word_parity.py`` asserts that the library's
-``check_word`` reports exactly what this one does.
+Its host loop still tests three facts that the library's ``check_word``
+proves from others: ``ascent_repeated_in_host`` and
+``ascent_in_inverse_host`` fire only with ``ascent_not_uniquely_positioned``,
+and ``host_remainder_not_descent`` fires only with it too, or on a remainder
+that ``decompose`` refuses. ``tests/test_check_word_parity.py`` asserts
+those implications, and that the library's ``check_word`` reports exactly
+what this one does without the three labels.
 """
 
 from __future__ import annotations

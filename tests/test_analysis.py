@@ -246,7 +246,7 @@ def test_unique_from_matches_prefix_counts(rank, top):
 
 
 @pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])
-def test_cyclic_hits_match_occurrences(rank, top):
+def test_cyclic_hosts_match_occurrences(rank, top):
     # Every cyclic subword of w and of w^-1, self-overlapping ones and the
     # full-length rotations included, is a pattern; signs play no part.
     for n in range(1, top + 1):
@@ -263,8 +263,8 @@ def test_cyclic_hits_match_occurrences(rank, top):
             }
             for pattern in patterns:
                 target = Word(pattern, rank)
-                assert table.hits(table.starts(pattern), len(pattern)) == [
-                    len(occurrences(target, e.word)) for e in elements
+                assert table.hosts(table.starts(pattern), len(pattern)) == [
+                    r for r, e in enumerate(elements) if occurrences(target, e.word)
                 ], (str(w), str(target))
 
 

@@ -234,6 +234,17 @@ def test_campaign_unwritable_output_exits_two(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_campaign_unwritable_output_exits_two_before_checking(capsys, monkeypatch, tmp_path):
+    def unreachable(w, cmp):
+        raise AssertionError(f"checked {w} before refusing --out")
+
+    monkeypatch.setattr(verify, "check_word", unreachable)
+    out_file = str(tmp_path / "missing" / "report.json")
+    code, out, err = run(capsys, "campaign", "--min-len", "2", "--max-len", "4", "--out", out_file)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "report.json" in err
+
+
 def test_campaign_swap_order_flag(capsys):
     code, out, _ = run(
         capsys, "campaign", "--min-len", "2", "--max-len", "2", "--swap-order"

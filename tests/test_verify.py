@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,7 @@ from orderword.series import CyclicSigns
 from orderword.verify import REPORT_SCHEMA
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +233,7 @@ def test_check_word_clean_through_length_five(order):
 
 
 def test_check_word_scans_each_pattern_once(monkeypatch):
-    # decompose places A, and check_word counts A's copies and places D's.
+    # decompose places A, and check_word places A's copies and D's.
     # Whether D is uniquely positioned, and the Weinbaum count, are read from
     # the table's unique_from instead of another scan.
     calls = []
@@ -264,6 +268,20 @@ def test_anomaly_and_report_shapes():
     )
     assert not report.ok
     assert report.to_dict()["anomalies"] == [anomaly.to_dict()]
+
+
+def test_readme_label_table_names_every_label():
+    emitted = set()
+    for path in (ROOT / "src" / "orderword").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Anomaly":
+                label = node.args[0]
+                assert isinstance(label, ast.Constant), f"{path.name}:{node.lineno}"
+                emitted.add(label.value)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Anomaly labels", 1)[1].split("\n#", 1)[0]
+    documented = set(re.findall(r"^\| `([a-z_]+)` \|", table, re.MULTILINE))
+    assert emitted == documented
 
 
 # ---------------------------------------------------------------- campaigns
@@ -370,6 +388,27 @@ def test_campaign_validation():
         run_campaign(2, 2, 3, dedup="classes")
     with pytest.raises(ValueError):
         run_campaign(2, 2, 3, cap=0)
+
+
+@pytest.mark.parametrize(
+    "where, error",
+    [("missing/r.json", FileNotFoundError), (".", IsADirectoryError)],
+    ids=["missing-directory", "directory"],
+)
+def test_campaign_refuses_unwritable_report_path_before_checking(
+    monkeypatch, tmp_path, where, error
+):
+    def unreachable(w, cmp):
+        raise AssertionError(f"checked {w} before refusing the report path")
+
+    monkeypatch.setattr(verify, "check_word", unreachable)
+    with pytest.raises(error):
+        run_campaign(2, 2, 4, out_path=str(tmp_path / where))
+    # A writable path is not created or truncated before the campaign ends.
+    out = tmp_path / "r.json"
+    with pytest.raises(AssertionError):
+        run_campaign(2, 2, 4, out_path=str(out))
+    assert not out.exists()
 
 
 def test_campaign_report_file_round_trip(tmp_path):
