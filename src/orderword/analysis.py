@@ -162,11 +162,11 @@ def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
     table = cmp._cyclic_signs(w)
     cut, n = len(ascent), len(w)
     # A is a slice of a row, so a prefix of that row rotated: some row starts with it.
-    r = table.starts(ascent.letters)[0]
+    starts = table.starts(ascent.letters)
+    r = starts[0]
     chosen, origin = table.element(r)
     descent = chosen[cut:]
-    # A prefix of row r is uniquely positioned iff it is at least unique_from[r] long.
-    ascent_unique = cut >= table.unique_from[r]
+    ascent_unique = len(starts) == 1
     descent_unique = None
     if len(descent):
         if not table.is_descent(r, cut, n):

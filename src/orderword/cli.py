@@ -121,14 +121,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     word = parse_word(args.word, args.rank)
     dec = decompose(word, _order(args))
-    ascent_unique = "yes" if dec.ascent_unique else "no"
-    if dec.descent_unique is None:
-        descent_unique = "n/a"
-    else:
-        descent_unique = "yes" if dec.descent_unique else "no"
     print(
         f"W' = {dec.chosen} ({dec.origin}), A = {dec.ascent}, D = {dec.descent}, "
-        f"A unique: {ascent_unique}, D unique: {descent_unique}"
+        f"A unique: {_yesno(dec.ascent_unique)}, D unique: {_yesno(dec.descent_unique)}"
     )
     return 0
 

@@ -427,12 +427,11 @@ def _summary(report: WordReport) -> tuple:
     )
 
 
-def _campaign_chunk(args: tuple) -> list[tuple]:
-    letters_list, rank, precedence, cap = args
-    cmp = MagnusOrder(rank, precedence=precedence, cap=cap)
+def _campaign_chunk(args: tuple[list[tuple[Letter, ...]], MagnusOrder]) -> list[tuple]:
+    letters_list, cmp = args
     out = []
     for letters in letters_list:
-        w = Word(letters, rank)
+        w = Word(letters, cmp.rank)
         try:
             report = check_word(w, cmp)
         except UndecidedAtCapError as exc:
@@ -466,6 +465,8 @@ def run_campaign(
     if workers < 1:
         raise ValueError("workers must be positive")
     # An unwritable report path fails now, not after the whole campaign.
+    if out_path == "":
+        raise FileNotFoundError("the report path is empty")
     if out_path is not None and os.path.isdir(out_path):
         raise IsADirectoryError(f"report path {out_path!r} is a directory")
     if out_path is not None and not os.path.isdir(os.path.dirname(out_path) or "."):
@@ -485,14 +486,12 @@ def run_campaign(
         by_length[str(length)] = count
 
     if workers == 1 or len(todo) < 2 * workers:
-        summaries = _campaign_chunk((todo, rank, precedence, cap))
+        summaries = _campaign_chunk((todo, cmp))
     else:
         chunk_count = workers * 4
         size = -(-len(todo) // chunk_count)
-        chunks = [
-            (todo[i : i + size], rank, precedence, cap)
-            for i in range(0, len(todo), size)
-        ]
+        # cmp is still cold here, so each chunk gets a copy with empty caches.
+        chunks = [(todo[i : i + size], cmp) for i in range(0, len(todo), size)]
         summaries = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_campaign_chunk, chunks):

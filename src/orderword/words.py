@@ -218,18 +218,6 @@ def is_periodic(w: Word) -> bool:
     return primitive_root(w)[1] > 1
 
 
-def _kmp_table(pattern: tuple[Letter, ...]) -> list[int]:
-    table = [0] * len(pattern)
-    k = 0
-    for i in range(1, len(pattern)):
-        while k > 0 and pattern[i] != pattern[k]:
-            k = table[k - 1]
-        if pattern[i] == pattern[k]:
-            k += 1
-        table[i] = k
-    return table
-
-
 def occurrences(pattern: Word, host: Word) -> tuple[int, ...]:
     """Start offsets of all (possibly overlapping) matches of pattern inside host.
 
@@ -240,21 +228,8 @@ def occurrences(pattern: Word, host: Word) -> tuple[int, ...]:
         raise ValueError("pattern must be nonempty")
     if pattern.rank != host.rank:
         raise ValueError("pattern and host ranks differ")
-    pat, txt = pattern.letters, host.letters
-    if len(pat) > len(txt):
-        return ()
-    table = _kmp_table(pat)
-    found = []
-    k = 0
-    for i, letter in enumerate(txt):
-        while k > 0 and letter != pat[k]:
-            k = table[k - 1]
-        if letter == pat[k]:
-            k += 1
-        if k == len(pat):
-            found.append(i - k + 1)
-            k = table[k - 1]
-    return tuple(found)
+    pat, txt, m = pattern.letters, host.letters, len(pattern)
+    return tuple(i for i in range(len(txt) - m + 1) if txt[i : i + m] == pat)
 
 
 def _unique_from(rows: list[tuple[Letter, ...]]) -> list[int]:
@@ -290,9 +265,8 @@ def uniquely_positioned(u: Word, w: Word) -> bool:
         raise ValueError("host word must be nonempty")
     if u.rank != w.rank:
         raise ValueError("word ranks differ")
-    rows, size = _rotation_rows(w), len(u)
-    r = next((r for r, row in enumerate(rows) if row[:size] == u.letters), None)
-    return r is not None and size >= _unique_from(rows)[r]
+    m = len(u)
+    return sum(row[:m] == u.letters for row in _rotation_rows(w)) == 1
 
 
 def is_monotonic(w: Word) -> bool:

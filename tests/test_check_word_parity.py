@@ -201,6 +201,9 @@ def test_implied_host_labels_come_with_a_repeated_ascent(text, seed, implied):
     assert want & IMPLIED == implied and "ascent_not_uniquely_positioned" in want
     got = {a["label"] for a in _assert_same(w, cmp)["anomalies"]}
     assert "ascent_not_uniquely_positioned" in got and not got & IMPLIED
+    # decompose counts the rows that start with A, as the oracle does.
+    assert decompose(w, cmp) == oracle.decompose(w, cmp)
+    assert not decompose(w, cmp).ascent_unique
 
 
 @pytest.mark.parametrize(

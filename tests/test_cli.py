@@ -126,7 +126,7 @@ def test_decompose_monotonic_word(capsys):
 @pytest.mark.parametrize("swap", [(), ("--swap-order",)], ids=["canonical", "swapped"])
 def test_decompose_ascent_unique_matches_rotation_oracle(capsys, swap):
     # The field is Decomposition.ascent_unique, read from the sign table's
-    # uniqueness lengths; uniquely_positioned rebuilds and sorts the rows.
+    # rows that start with A; uniquely_positioned counts freshly built rows.
     for length in range(2, 9):
         for w in enumerate_cyclically_reduced(2, length, dedup="rotation_class"):
             if is_periodic(w):
@@ -239,10 +239,13 @@ def test_campaign_unwritable_output_exits_two_before_checking(capsys, monkeypatc
         raise AssertionError(f"checked {w} before refusing --out")
 
     monkeypatch.setattr(verify, "check_word", unreachable)
-    out_file = str(tmp_path / "missing" / "report.json")
-    code, out, err = run(capsys, "campaign", "--min-len", "2", "--max-len", "4", "--out", out_file)
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and "report.json" in err
+    missing = str(tmp_path / "missing" / "report.json")
+    for out_file, named in [(missing, "report.json"), ("", "empty")]:
+        code, out, err = run(
+            capsys, "campaign", "--min-len", "2", "--max-len", "4", "--out", out_file
+        )
+        assert (code, out) == (2, ""), repr(out_file)
+        assert err.startswith("error:") and named in err, repr(out_file)
 
 
 def test_campaign_swap_order_flag(capsys):

@@ -456,7 +456,15 @@ def test_series_text_matches_reference_product(rank, top, degrees):
 
 
 @pytest.mark.parametrize(
-    "name", ["mul", "compare_series", "prefix_profile", "ascent_descent_spans", "occurrences"]
+    "name",
+    [
+        "mul",
+        "compare_series",
+        "prefix_profile",
+        "ascent_descent_spans",
+        "occurrences",
+        "uniquely_positioned",
+    ],
 )
 def test_library_never_calls(name):
     # These stay exported for tests, demos and perfbench; the library reads

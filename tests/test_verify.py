@@ -392,8 +392,8 @@ def test_campaign_validation():
 
 @pytest.mark.parametrize(
     "where, error",
-    [("missing/r.json", FileNotFoundError), (".", IsADirectoryError)],
-    ids=["missing-directory", "directory"],
+    [("missing/r.json", FileNotFoundError), (".", IsADirectoryError), ("", FileNotFoundError)],
+    ids=["missing-directory", "directory", "empty"],
 )
 def test_campaign_refuses_unwritable_report_path_before_checking(
     monkeypatch, tmp_path, where, error
@@ -403,7 +403,7 @@ def test_campaign_refuses_unwritable_report_path_before_checking(
 
     monkeypatch.setattr(verify, "check_word", unreachable)
     with pytest.raises(error):
-        run_campaign(2, 2, 4, out_path=str(tmp_path / where))
+        run_campaign(2, 2, 4, out_path=str(tmp_path / where) if where else "")
     # A writable path is not created or truncated before the campaign ends.
     out = tmp_path / "r.json"
     with pytest.raises(AssertionError):

@@ -274,15 +274,6 @@ def test_nonperiodic_iff_rotations_distinct():
 
 # ---------------------------------------------------------------- occurrences
 
-def naive_occurrences(pattern: Word, host: Word) -> tuple[int, ...]:
-    n = len(pattern)
-    return tuple(
-        i
-        for i in range(len(host) - n + 1)
-        if host.letters[i : i + n] == pattern.letters
-    )
-
-
 def test_occurrences_goldens():
     assert occurrences(P("aa"), P("baaba")) == (1,)
     assert occurrences(P("aba"), P("ababa")) == (0, 2)
@@ -294,27 +285,6 @@ def test_occurrences_rejects_empty_pattern_and_rank_mismatch():
         occurrences(identity(2), P("a"))
     with pytest.raises(ValueError):
         occurrences(parse_word("a", 3), P("ab"))
-
-
-def test_occurrences_match_naive_matcher_exhaustive():
-    for n in range(1, 7):
-        for host in all_reduced(2, n):
-            seen = set()
-            for i in range(n):
-                for j in range(i + 1, n + 1):
-                    pattern = host[i:j]
-                    if pattern.letters in seen:
-                        continue
-                    seen.add(pattern.letters)
-                    assert occurrences(pattern, host) == naive_occurrences(pattern, host)
-
-
-def test_occurrences_match_naive_matcher_random_long():
-    rng = random.Random(106)
-    for _ in range(300):
-        host = random_reduced(rng, rng.randint(7, 8))
-        pattern = random_reduced(rng, rng.randint(1, 8))
-        assert occurrences(pattern, host) == naive_occurrences(pattern, host)
 
 
 # ---------------------------------------------------------------- overlaps
