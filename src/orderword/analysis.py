@@ -160,7 +160,7 @@ def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
     _require_decomposable(w, "decomposition")
     ascent = maximal_ascent(w, cmp)
     table = cmp._cyclic_signs(w)
-    cut, n = len(ascent), len(w)
+    cut = len(ascent)
     # A is a slice of a row, so a prefix of that row rotated: some row starts with it.
     starts = table.starts(ascent.letters)
     r = starts[0]
@@ -169,13 +169,14 @@ def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
     ascent_unique = len(starts) == 1
     descent_unique = None
     if len(descent):
-        if not table.is_descent(r, cut, n):
+        # D starts row r rotated by |A| within its half, and is uniquely
+        # positioned when it is a prefix of no other rotation-set element.
+        d_row = table.shift(r, cut)
+        if not table.is_descent(d_row, len(descent)):
             raise InvariantViolationError(
                 f"remainder {descent!r} after the maximal ascent is not a descent"
             )
-        # D starts row r rotated by |A| within its half, and is uniquely
-        # positioned when it is a prefix of no other rotation-set element.
-        descent_unique = len(descent) >= table.unique_from[r - r % n + (r + cut) % n]
+        descent_unique = len(descent) >= table.unique_from[d_row]
     return Decomposition(
         source=w,
         chosen=chosen,

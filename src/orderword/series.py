@@ -8,8 +8,8 @@ a fixed monomial enumeration gives a total order on words, the
 :class:`MagnusOrder`. Word images are grown one homogeneous component at a
 time by one kernel, :func:`_components`: the order stops at the first degree
 where two images differ, and :func:`mu` reads an image through its bound. The
-order also keeps the signs of one word's cyclic subwords, :class:`CyclicSigns`,
-which every audit reads.
+order also keeps the prefix signs of one word's rotation set,
+:class:`CyclicSigns`, which every audit reads.
 """
 
 from __future__ import annotations
@@ -428,23 +428,28 @@ def magnus_compare_words(
 
 
 class CyclicSigns:
-    """The signs of all cyclic subwords of one word, which every audit reads.
+    """The signs of the prefixes of every rotation-set element of one word.
 
-    ``sg[s][l]`` is the sign of the cyclic subword of w that starts at s and
-    has length l, for 0 <= s < n and 1 <= l <= n (``sg[s][0]`` is the empty
-    word's 0), as ``prefix_signs`` gives it for ``rows[s]``. Row r holds the
-    letters of rotation-set element r: w rotated by r for r < n and w^-1
-    rotated by r - n after that. Span [i, j) of a rotation of w^-1 is the
-    inverse of the cyclic subword of w at ((-r - j) mod n, j - i), so its
-    sign is the negative of that subword's, and it is an ascent exactly when
-    that subword is a descent.
+    ``sg[r][m]`` is the sign of the length-m prefix of ``rows[r]``, for
+    0 <= r < 2n and 0 <= m <= n (``sg[r][0]`` is the empty word's 0). Row r
+    holds the letters of rotation-set element r: w rotated by r for r < n and
+    w^-1 rotated by r - n after that. Only the rows of w are signed through
+    ``prefix_signs``. The length-l prefix of row n + s is the inverse of
+    the cyclic subword of w at (-s - l) mod n, so its sign is read as the
+    negative of that subword's: the table assumes an antisymmetric sign,
+    sign(u^-1) = -sign(u), as every invariant order has. Span [i, j) of row r is the
+    length-(j - i) prefix of row ``shift(r, i)``.
     """
 
     def __init__(self, w: Word, prefix_signs: Callable[[tuple[Letter, ...]], list[int]]) -> None:
         self.word = w
         self.rows = _rotation_rows(w)
         n = self.n = len(w)
-        self.sg = [prefix_signs(self.rows[s]) for s in range(n)]
+        # Each half's rows listed twice, so row r rotated by i is half[r % n + i].
+        ahead = [prefix_signs(self.rows[s]) for s in range(n)] * 2
+        back = [[0] + [-ahead[2 * n - s - l][l] for l in range(1, n + 1)] for s in range(n)] * 2
+        self._halves = (ahead, back)
+        self.sg = ahead[:n] + back[:n]
         # prefix_profile(element r): the (low, peak) prefix lengths.
         self.low_peak = [self._low_peak(r) for r in range(2 * n)]
         # A prefix of row r is uniquely positioned iff its length is at least unique_from[r].
@@ -455,71 +460,55 @@ class CyclicSigns:
         origin = FROM_WORD if r < self.n else FROM_INVERSE
         return Rotation(Word(self.rows[r], self.word.rank), origin)
 
+    def shift(self, r: int, i: int) -> int:
+        """The row of element r rotated by i within its half."""
+        n = self.n
+        return r - r % n + (r + i) % n
+
     def starts(self, pattern: tuple[Letter, ...]) -> list[int]:
         """The rotation-set elements that start with the nonempty pattern, in order.
 
-        Span [i, j) of element r is a prefix of element r rotated by i within
-        its half, so this also places every copy of the pattern: the pattern
-        is uniquely positioned exactly when one element starts with it.
+        Span [i, j) of element r is a prefix of element ``shift(r, i)``, so
+        this also places every copy of the pattern: the pattern is uniquely
+        positioned exactly when one element starts with it.
         """
         m = len(pattern)
         return [r for r, row in enumerate(self.rows) if row[:m] == pattern]
 
-    def _monotone(self, s: int, l: int, want: int) -> bool:
-        # Every prefix and every suffix of the cyclic subword (s, l) has sign want.
-        n, sg = self.n, self.sg
-        row = sg[s]
+    def _monotone(self, r: int, l: int, want: int) -> bool:
+        # Every prefix and every suffix of the length-l prefix of row r has sign want.
+        n = self.n
+        half, base = self._halves[r // n], r % n
+        row = half[base]
         return all(want * row[k] > 0 for k in range(1, l + 1)) and all(
-            want * sg[(s + l - k) % n][k] > 0 for k in range(1, l)
+            want * half[base + l - k][k] > 0 for k in range(1, l)
         )
 
-    def _cell(self, r: int, i: int, j: int) -> tuple[int, int, int]:
-        # (s, l, +1) when span [i, j) of rotation r is the cyclic subword
-        # (s, l) of w, (s, l, -1) when it is that subword's inverse.
-        n = self.n
-        if r < n:
-            return (r + i) % n, j - i, 1
-        return (-r - j) % n, j - i, -1
+    def is_ascent(self, r: int, l: int) -> bool:
+        """True iff the nonempty length-l prefix of row r is an ascent."""
+        return self._monotone(r, l, 1)
 
-    def sign(self, r: int, i: int, j: int) -> int:
-        """Sign of span [i, j) of rotation r."""
-        s, l, flip = self._cell(r, i, j)
-        return flip * self.sg[s][l]
-
-    def is_ascent(self, r: int, i: int, j: int) -> bool:
-        """True iff the nonempty span [i, j) of rotation r is an ascent."""
-        s, l, flip = self._cell(r, i, j)
-        return self._monotone(s, l, flip)
-
-    def is_descent(self, r: int, i: int, j: int) -> bool:
-        """True iff the nonempty span [i, j) of rotation r is a descent."""
-        s, l, flip = self._cell(r, i, j)
-        return self._monotone(s, l, -flip)
+    def is_descent(self, r: int, l: int) -> bool:
+        """True iff the nonempty length-l prefix of row r is a descent."""
+        return self._monotone(r, l, -1)
 
     def hosts(self, starts: list[int], m: int) -> list[int]:
         """The rotation-set elements that hold a copy of a pattern of length m, in order.
 
-        ``starts`` is ``self.starts(pattern)``: the copy at cyclic position p
-        of w lies inside element r < n, which is w·w read from r for n
-        letters, exactly when ``(p - r) % n <= n - m``; w^-1 likewise from n on.
+        ``starts`` is ``self.starts(pattern)``: element r holds the copy that
+        starts element s exactly when s is r rotated by at most n - m.
         """
-        n = self.n
-        return sorted({s - s % n + (s - i) % n for s in starts for i in range(n - m + 1)})
+        return sorted({self.shift(s, -i) for s in starts for i in range(self.n - m + 1)})
 
     def _low_peak(self, r: int) -> tuple[int, int]:
-        # prefix_profile of rotation r: prefix i against prefix j < i is the
-        # sign of span [j, i), read as in _cell.
-        n, sg = self.n, self.sg
+        # prefix_profile of row r: prefix i against prefix j < i is the sign
+        # of span [j, i), the length-(i - j) prefix of row r rotated by j.
+        n = self.n
+        half, base = self._halves[r // n], r % n
         peak = low = 0
         for i in range(1, n + 1):
-            if r < n:
-                above = sg[(r + peak) % n][i - peak] > 0
-                below = sg[(r + low) % n][i - low] < 0
-            else:
-                row = sg[(-r - i) % n]
-                above, below = row[i - peak] < 0, row[i - low] > 0
-            if above:
+            if half[base + peak][i - peak] > 0:
                 peak = i
-            if below:
+            if half[base + low][i - low] < 0:
                 low = i
         return low, peak

@@ -269,7 +269,7 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
     Precondition violations (empty, length one, periodic, not cyclically
     reduced) raise; everything the decomposition asserts about a valid word is
     verified here and reported, never raised. Every claim is read from the
-    word's one table of cyclic-subword signs, ``CyclicSigns``.
+    word's one sign table, ``CyclicSigns``.
 
     The overlap claims ("overlap_structure") hold by proof, for any sign
     function, so no span pair is tested. Let spans [s1, e1) and [s2, e2) of
@@ -314,7 +314,7 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
 
     # The maximal ascent must be an ascent, and a prefix of exactly one rotation.
     chosen_row = rows.index(dec.chosen.letters)
-    if not table.is_ascent(chosen_row, 0, size):
+    if not table.is_ascent(chosen_row, size):
         anomalies.append(
             Anomaly("maximal_ascent_not_ascent", f"{ascent} is not an ascent of {dec.chosen}")
         )
@@ -334,10 +334,8 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
         descent_status = "empty"
     else:
         descent_status = "unique" if dec.descent_unique else "internal_in_A"
-        half = chosen_row // n
-        offsets = sorted(
-            (s - chosen_row) % n for s in table.starts(descent.letters) if s // n == half
-        )
+        d_starts = table.starts(descent.letters)
+        offsets = [q for q in range(n) if table.shift(chosen_row, q) in d_starts]
         for q in offsets:
             if q != size and not 1 <= q <= size - len(descent) - 1:
                 anomalies.append(
@@ -358,7 +356,7 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
 
     # Structure of every rotation that contains the maximal ascent.
     for r in table.hosts(a_starts, size):
-        if table.sign(r, 0, n) <= 0:
+        if table.sg[r][n] <= 0:
             anomalies.append(
                 Anomaly("host_not_positive", f"{Word(rows[r], w.rank)} contains {ascent}")
             )

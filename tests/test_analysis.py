@@ -188,11 +188,13 @@ def test_cyclic_signs_match_every_rotation(order, swapped):
                         unique = oracle._prefix_count(host.letters[:l], elements) == 1
                         assert (l >= table.unique_from[r]) == unique, (str(w), r, l)
                     for i in range(n):
+                        shifted = table.shift(r, i)
+                        assert table.rows[shifted] == table.rows[r][i:] + table.rows[r][:i]
                         for j in range(i + 1, n + 1):
                             piece = host[i:j]
-                            assert table.sign(r, i, j) == cmp.sign(piece)
-                            assert table.is_ascent(r, i, j) == ((i, j) in ascents)
-                            assert table.is_descent(r, i, j) == ((i, j) in descents)
+                            assert table.sg[shifted][j - i] == cmp.sign(piece)
+                            assert table.is_ascent(shifted, j - i) == ((i, j) in ascents)
+                            assert table.is_descent(shifted, j - i) == ((i, j) in descents)
                             assert len(table.starts(piece.letters)) == (
                                 oracle._prefix_count(piece.letters, elements)
                             )

@@ -109,12 +109,12 @@ def _assert_same(w, cmp):
 
 
 def _assert_own_signs(w, cmp):
-    # Every cell of the table the audit read is the order's own sign.
+    # Every cell of the table the audit read is the order's own sign, in the
+    # rows of w^-1 too, which the table fills by negation.
     table = cmp._cyclic_signs(w)
-    doubled = w.letters * 2
-    for s in range(len(w)):
+    for r, row in enumerate(table.rows):
         for l in range(1, len(w) + 1):
-            assert table.sg[s][l] == cmp._sign_letters(doubled[s : s + l]), (str(w), s, l)
+            assert table.sg[r][l] == cmp._sign_letters(row[:l]), (str(w), r, l)
 
 
 @pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])

@@ -464,6 +464,8 @@ def test_series_text_matches_reference_product(rank, top, degrees):
         "ascent_descent_spans",
         "occurrences",
         "uniquely_positioned",
+        "magnus_compare_words",
+        "canonical_representative",
     ],
 )
 def test_library_never_calls(name):

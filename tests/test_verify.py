@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -437,6 +438,34 @@ def test_campaign_histogram_totals_match_words_checked():
     )
 
 
+def _moebius(n):
+    sign, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return -sign if n > 1 else sign
+
+
+def _lyndon_count(rank, n):
+    # Primitive necklaces of length n: (1/n) * sum over d | n of mu(d) rank^(n/d).
+    return sum(_moebius(d) * rank ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("rank, top, total", [(2, 9, 125), (3, 5, 77)])
+def test_campaign_counts_primitive_necklaces_with_empty_descent(rank, top, total):
+    # Claim 3 in aggregate: a class has D = 1 iff it is monotonic, and the
+    # monotonic classes of length n are the L_r(n) primitive necklaces. The
+    # per-word audit checks claim 3 only under the canonical precedence.
+    assert sum(_lyndon_count(rank, n) for n in range(2, top + 1)) == total
+    for precedence in itertools.permutations(range(1, rank + 1)):
+        report = run_campaign(rank, 2, top, precedence=precedence)
+        assert report.descent_ratio_histogram.get("0", 0) == total, precedence
+
+
 def test_capped_campaign_records_undecided_words():
     report = run_campaign(2, 2, 4, cap=1)
     assert report.words_checked_by_length == {
@@ -450,16 +479,18 @@ def test_capped_campaign_records_undecided_words():
 
 
 @pytest.mark.parametrize(
-    "precedence, digest",
+    "rank, top, precedence, digest",
     [
-        (None, "1957419b2dff043d58ab1b9c0489eb624a105f7eb4f03627f58666665fc147c6"),
-        ((2, 1), "af9a14d9ba2859137988d3599636a87b2dda49b3336c80a29f4a86f899b2533c"),
+        (2, 6, None, "1957419b2dff043d58ab1b9c0489eb624a105f7eb4f03627f58666665fc147c6"),
+        (2, 6, (2, 1), "af9a14d9ba2859137988d3599636a87b2dda49b3336c80a29f4a86f899b2533c"),
+        (3, 5, None, "2628d60ac6fa7b4af7ebac016e7b05b51801971d46021eca73bc5dfffde407c3"),
+        (3, 5, (2, 3, 1), "7c7056931d348a66fd09a9a6844a513bc85fea97889ed4f8edaafcd8ba8abd76"),
     ],
-    ids=["canonical", "swapped"],
+    ids=["canonical", "swapped", "rank3-canonical", "rank3-231"],
 )
-def test_default_cap_report_is_unchanged(precedence, digest):
-    # SHA-256 of the lengths 2..6 report without its wall clock, as first recorded.
-    report = run_campaign(2, 2, 6, precedence=precedence).to_dict()
+def test_default_cap_report_is_unchanged(rank, top, precedence, digest):
+    # SHA-256 of the lengths 2..top report without its wall clock, as first recorded.
+    report = run_campaign(rank, 2, top, precedence=precedence).to_dict()
     report.pop("duration_seconds")
     text = json.dumps(report, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
