@@ -10,12 +10,10 @@ matter how many worker processes run the checks.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 # check_word reads peaks and lows from the sign table, not from
@@ -409,6 +407,8 @@ class CampaignReport:
 
 
 def write_report(report: CampaignReport, path: str) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -486,6 +486,9 @@ def run_campaign(
     if workers == 1 or len(todo) < 2 * workers:
         summaries = _campaign_chunk((todo, cmp))
     else:
+        # Imported here: the pool's module tree is a third of the package's import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk_count = workers * 4
         size = -(-len(todo) // chunk_count)
         # cmp is still cold here, so each chunk gets a copy with empty caches.
@@ -501,7 +504,8 @@ def run_campaign(
     anomaly_count = 0
     for length, descent_len, weinbaum_count, bad_report, n_anomalies in summaries:
         if descent_len is not None:
-            key = str(Fraction(descent_len, length))
+            g = gcd(descent_len, length)  # the ratio in lowest terms, as str(Fraction) writes it
+            key = f"{descent_len // g}/{length // g}".removesuffix("/1")
             histogram[key] = histogram.get(key, 0) + 1
         if weinbaum_min is None or weinbaum_count < weinbaum_min:
             weinbaum_min = weinbaum_count

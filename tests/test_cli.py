@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -222,6 +223,22 @@ def test_campaign_writes_report(capsys, tmp_path):
     assert loaded["anomaly_count"] == 0
 
 
+def test_campaign_pool_writes_the_serial_report(capsys, tmp_path):
+    reports = []
+    for workers, name in (("1", "serial.json"), ("2", "pool.json")):
+        out_file = tmp_path / name
+        code, _, err = run(
+            capsys, "campaign", "--min-len", "2", "--max-len", "5",
+            "--workers", workers, "--out", str(out_file),
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out_file.read_text(encoding="utf-8"))
+        del report["duration_seconds"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["words_checked"] == 39
+
+
 def test_campaign_unwritable_output_exits_two(capsys, tmp_path):
     code, out, err = run(
         capsys,
@@ -378,6 +395,36 @@ def test_module_entry_point_matches_main(capsys, command):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
+_IMPORT_PROBE = """
+import sys
+import orderword
+from orderword.cli import main
+WATCHED = ("concurrent.futures", "fractions", "json", "multiprocessing")
+loaded = []
+for argv in (
+    ["verify", "abcaBCbacABc", "--rank", "3"],
+    ["campaign", "--min-len", "2", "--max-len", "5"],
+    ["campaign", "--min-len", "2", "--max-len", "5", "--workers", "2"],
+):
+    assert main(argv) == 0
+    loaded.append([m for m in WATCHED if m in sys.modules])
+print(loaded)
+"""
+
+
+def test_runs_import_only_the_modules_they_use():
+    # -S keeps the site module's own imports out of sys.modules.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_PROBE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    verified, serial, pooled = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert verified == serial == []
+    assert "concurrent.futures" in pooled
 
 
 def test_unknown_command_is_a_parser_error(capsys):

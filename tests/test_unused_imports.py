@@ -47,10 +47,12 @@ def test_guard_sees_an_unused_import(tmp_path):
     module.write_text(
         "from itertools import takewhile, chain\n"
         "from os import sep  # noqa: F401\n"
-        "print(chain)\n",
+        "print(chain)\n"
+        "def f():\n"
+        "    import json\n",
         encoding="utf-8",
     )
-    assert _unused_imports(module) == ["sample.py:1: takewhile"]
+    assert _unused_imports(module) == ["sample.py:1: takewhile", "sample.py:5: json"]
 
 
 def _unused_private_names(paths: list[Path]) -> list[str]:
