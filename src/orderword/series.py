@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .words import FROM_INVERSE, FROM_WORD, Letter, Rotation, Word, _rotation_rows, _unique_from
 
@@ -382,32 +381,28 @@ class MagnusOrder:
         sign = self._signs.get(letters)
         return self._compare_letters(letters, ()) if sign is None else sign
 
-    def _prefix_signs(self, letters: tuple[Letter, ...]) -> list[int]:
-        """``[0]`` and then the sign of every nonempty prefix of letters.
+    def _prefix_keys(self, letters: tuple[Letter, ...]) -> list[int]:
+        """``[0]`` and then the exponent-sum key of every nonempty prefix of letters.
 
-        Degree 1 of a word's image is its exponent-sum vector (Magnus 1935),
-        so a prefix takes the sign of its first nonzero sum in precedence
-        order. Only balanced prefixes reach the series kernel, in prefix
-        order, so an explicit cap raises where signing each prefix would.
+        Degree 1 of a word's image is its exponent-sum vector (Magnus 1935). A
+        key holds the vector in mixed radix, places in precedence order, radix
+        above twice the length: the sign of key j minus key i is the degree-1
+        sign of letters[i:j], so its sign unless that span is balanced.
         """
-        place, sums, out = self._place, [0] * self.rank, [0]
-        for l, (generator, sign) in enumerate(letters, 1):
-            if generator >= len(place):
+        weight = [(2 * len(letters) + 1) ** (self.rank - 1 - p) for p in self._place]
+        key, out = 0, [0]
+        for generator, sign in letters:
+            if generator >= len(weight):
                 raise ValueError(f"generator {generator} outside rank {self.rank}")
-            sums[place[generator]] += sign
-            for total in sums:
-                if total:
-                    out.append(1 if total > 0 else -1)
-                    break
-            else:
-                out.append(self._sign_letters(letters[:l]))
+            key += sign * weight[generator]
+            out.append(key)
         return out
 
     def _cyclic_signs(self, w: Word) -> CyclicSigns:
         """The sign table of w, kept until a table of another word is asked for."""
         table = self._table
         if table is None or table.word != w:
-            table = self._table = CyclicSigns(w, self._prefix_signs)
+            table = self._table = CyclicSigns(w, self)
         return table
 
 
@@ -430,30 +425,55 @@ def magnus_compare_words(
 class CyclicSigns:
     """The signs of the prefixes of every rotation-set element of one word.
 
-    ``sg[r][m]`` is the sign of the length-m prefix of ``rows[r]``, for
-    0 <= r < 2n and 0 <= m <= n (``sg[r][0]`` is the empty word's 0). Row r
-    holds the letters of rotation-set element r: w rotated by r for r < n and
-    w^-1 rotated by r - n after that. Only the rows of w are signed through
-    ``prefix_signs``. The length-l prefix of row n + s is the inverse of
-    the cyclic subword of w at (-s - l) mod n, so its sign is read as the
-    negative of that subword's: the table assumes an antisymmetric sign,
-    sign(u^-1) = -sign(u), as every invariant order has. Span [i, j) of row r is the
-    length-(j - i) prefix of row ``shift(r, i)``.
+    Row r holds element r: w rotated by r for r < n, then w^-1 rotated by r - n.
+    Span [i, j) of row r is the length-(j - i) prefix of row ``shift(r, i)``;
+    the sign of its exponent-sum key ``key(r, i, j)`` is its degree-1 sign, and
+    ``sign(r, l)`` is the sign of a prefix. The order must be bi-invariant. Only
+    the balanced prefixes of the rows of w reach it, in row and prefix order, so
+    a cap raises where signing each prefix would. Row n + s is (row t)^-1 for
+    t = (n - s) mod n and takes their negated signs; its prefix i is (row t)^-1
+    times prefix n - i of row t, so its low and peak are n - low, n - peak of t's.
     """
 
-    def __init__(self, w: Word, prefix_signs: Callable[[tuple[Letter, ...]], list[int]]) -> None:
+    def __init__(self, w: Word, order: MagnusOrder) -> None:
         self.word = w
         self.rows = _rotation_rows(w)
         n = self.n = len(w)
-        # Each half's rows listed twice, so row r rotated by i is half[r % n + i].
-        ahead = [prefix_signs(self.rows[s]) for s in range(n)] * 2
-        back = [[0] + [-ahead[2 * n - s - l][l] for l in range(1, n + 1)] for s in range(n)] * 2
-        self._halves = (ahead, back)
-        self.sg = ahead[:n] + back[:n]
+        keys = self._keys = order._prefix_keys(w.letters * 2)
+        # The signs of the balanced prefixes, by (row, length).
+        balanced = self._balanced = {}
+        for s, l in ((s, l) for s in range(n) for l in range(1, n + 1) if keys[s + l] == keys[s]):
+            sign = balanced[s, l] = order._sign_letters(self.rows[s][:l])
+            balanced[n + (-s - l) % n, l] = -sign
+        # prefix_profile(row s): prefix i against prefix j < i is the sign of span [j, i).
+        ahead = []
+        for s in range(n):
+            peak = low = 0
+            for i in range(1, n + 1):
+                key = keys[s + i]
+                if (key - keys[s + peak] or balanced[(s + peak) % n, i - peak]) > 0:
+                    peak = i
+                if (key - keys[s + low] or balanced[(s + low) % n, i - low]) < 0:
+                    low = i
+            ahead.append((low, peak))
         # prefix_profile(element r): the (low, peak) prefix lengths.
-        self.low_peak = [self._low_peak(r) for r in range(2 * n)]
+        self.low_peak = ahead + [(n - ahead[-s % n][0], n - ahead[-s % n][1]) for s in range(n)]
         # A prefix of row r is uniquely positioned iff its length is at least unique_from[r].
         self.unique_from = _unique_from(self.rows)
+
+    def key(self, r: int, i: int, j: int) -> int:
+        """The key of span [i, j) of row r: its sign is the span's degree-1 sign."""
+        keys, n = self._keys, self.n
+        if r < n:
+            return keys[r + j] - keys[r + i]
+        # The inverse of span [n - j, n - i) of row (n - r) mod n.
+        t = -r % n + n
+        return keys[t - j] - keys[t - i]
+
+    def sign(self, r: int, l: int) -> int:
+        """The sign of the length-l prefix of row r."""
+        key = self.key(r, 0, l)
+        return (key > 0) - (key < 0) if key else self._balanced.get((r, l), 0)
 
     def element(self, r: int) -> Rotation:
         """Rotation-set element r as a word with its origin."""
@@ -477,11 +497,8 @@ class CyclicSigns:
 
     def _monotone(self, r: int, l: int, want: int) -> bool:
         # Every prefix and every suffix of the length-l prefix of row r has sign want.
-        n = self.n
-        half, base = self._halves[r // n], r % n
-        row = half[base]
-        return all(want * row[k] > 0 for k in range(1, l + 1)) and all(
-            want * half[base + l - k][k] > 0 for k in range(1, l)
+        return all(want * self.sign(r, k) > 0 for k in range(1, l + 1)) and all(
+            want * self.sign(self.shift(r, l - k), k) > 0 for k in range(1, l)
         )
 
     def is_ascent(self, r: int, l: int) -> bool:
@@ -499,16 +516,3 @@ class CyclicSigns:
         starts element s exactly when s is r rotated by at most n - m.
         """
         return sorted({self.shift(s, -i) for s in starts for i in range(self.n - m + 1)})
-
-    def _low_peak(self, r: int) -> tuple[int, int]:
-        # prefix_profile of row r: prefix i against prefix j < i is the sign
-        # of span [j, i), the length-(i - j) prefix of row r rotated by j.
-        n = self.n
-        half, base = self._halves[r // n], r % n
-        peak = low = 0
-        for i in range(1, n + 1):
-            if half[base + peak][i - peak] > 0:
-                peak = i
-            if half[base + low][i - low] < 0:
-                low = i
-        return low, peak

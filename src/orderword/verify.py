@@ -354,7 +354,7 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
 
     # Structure of every rotation that contains the maximal ascent.
     for r in table.hosts(a_starts, size):
-        if table.sg[r][n] <= 0:
+        if table.sign(r, n) <= 0:
             anomalies.append(
                 Anomaly("host_not_positive", f"{Word(rows[r], w.rank)} contains {ascent}")
             )
@@ -401,9 +401,11 @@ class CampaignReport:
     descent_ratio_histogram: dict[str, int]
     counterexamples: list[dict]
     duration_seconds: float
+    # [closed-form count, words enumerated] for each length where the two differ.
+    count_mismatch: dict[str, list[int]] | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {k: v for k, v in asdict(self).items() if v is not None or k != "count_mismatch"}
 
 
 def write_report(report: CampaignReport, path: str) -> None:
@@ -474,7 +476,10 @@ def run_campaign(
     started = time.perf_counter()
     todo: list[tuple[Letter, ...]] = []
     by_length: dict[str, int] = {}
-    for length in range(max(2, min_length), max_length + 1):
+    count_of = rotation_class_count if dedup == "rotation_class" else nonperiodic_count
+    lengths = range(max(2, min_length), max_length + 1)
+    closed_form = {str(length): count_of(rank, length) for length in lengths}
+    for length in lengths:
         count = 0
         for w in enumerate_cyclically_reduced(rank, length, dedup=dedup):
             if is_periodic(w):
@@ -513,6 +518,7 @@ def run_campaign(
         if bad_report is not None:
             counterexamples.append(bad_report)
 
+    mismatch = {n: [c, by_length[n]] for n, c in closed_form.items() if c != by_length[n]}
     checks = ["unique_ascent", "descent_placement"]
     if _checks_monotonic(cmp):
         checks.append("monotonic_descent")
@@ -527,12 +533,13 @@ def run_campaign(
         checks=checks,
         words_checked=len(todo),
         words_checked_by_length=by_length,
-        nonperiodic_count=len(todo),
+        nonperiodic_count=sum(closed_form.values()),
         anomaly_count=anomaly_count,
         weinbaum_min=weinbaum_min,
         descent_ratio_histogram=dict(sorted(histogram.items())),
         counterexamples=counterexamples,
         duration_seconds=time.perf_counter() - started,
+        count_mismatch=mismatch or None,
     )
     if out_path is not None:
         write_report(report, out_path)

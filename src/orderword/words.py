@@ -197,25 +197,27 @@ def _rotation_rows(w: Word) -> list[tuple[Letter, ...]]:
     """The rotation set's elements as letters: w rotated by r, then w^-1 rotated by r."""
     if not w.is_cyclically_reduced:
         raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
-    letters = w.letters
+    letters, n = w.letters, len(w)
     inv = tuple(Letter(g, -s) for g, s in reversed(letters))
-    return [source[r:] + source[:r] for source in (letters, inv) for r in range(len(letters))]
+    return [doubled[r : r + n] for doubled in (letters * 2, inv * 2) for r in range(n)]
+
+
+def _period(letters: tuple[Letter, ...]) -> int:
+    """The least d with letters == letters[:d] * (n // d); n itself when there is no root."""
+    n = len(letters)
+    if n == 0:
+        raise ValueError("the empty word has no primitive root")
+    return next(d for d in range(1, n + 1) if n % d == 0 and letters == letters[:d] * (n // d))
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:
     """Shortest word u with w = u^k; returns (u, k). k > 1 means w is periodic."""
-    n = len(w)
-    if n == 0:
-        raise ValueError("the empty word has no primitive root")
-    letters = w.letters
-    for d in range(1, n + 1):
-        if n % d == 0 and letters == letters[:d] * (n // d):
-            return w[:d], n // d
-    raise AssertionError("unreachable: every word is its own power")
+    d = _period(w.letters)
+    return w[:d], len(w) // d
 
 
 def is_periodic(w: Word) -> bool:
-    return primitive_root(w)[1] > 1
+    return _period(w.letters) < len(w)
 
 
 def occurrences(pattern: Word, host: Word) -> tuple[int, ...]:

@@ -21,6 +21,13 @@ and ``host_remainder_not_descent`` fires only with it too, or on a remainder
 that ``decompose`` refuses. ``tests/test_check_word_parity.py`` asserts
 those implications, and that the library's ``check_word`` reports exactly
 what this one does without the three labels.
+
+``ReferenceSigns`` is the library's sign table as it was before it read
+exponent-sum keys: one sign per cell, each prefix of a row of w signed on
+its own, the rows of w^-1 by negation, and the greedy low and peak run on
+all 2n rows. It assumes only an antisymmetric sign, so the orders of the
+parity sweeps that are not bi-invariant audit through it, and the
+library's table is tested against it.
 """
 
 from __future__ import annotations
@@ -39,12 +46,15 @@ from orderword.analysis import (
     is_descent,
     prefix_profile,
 )
+from orderword.series import CyclicSigns
 from orderword.verify import Anomaly, WordReport
 from orderword.words import (
     Letter,
     NotCyclicallyReducedError,
     Rotation,
     Word,
+    _rotation_rows,
+    _unique_from,
     concat,
     inverse,
     is_monotonic,
@@ -64,6 +74,43 @@ class MaximalAscent:
     ascent: Word
     host: Word
     origin: str
+
+
+class ReferenceSigns(CyclicSigns):
+    """The per-cell sign table: ``sg[r][l]`` is the sign of the length-l prefix of row r.
+
+    ``sign_letters`` signs each prefix of a row of w; the length-l prefix of
+    row n + s is the inverse of the one of row (-s - l) mod n, and takes its
+    negated sign. ``key`` is always 0, so every comparison of two spans
+    goes to the order.
+    """
+
+    def __init__(self, w: Word, sign_letters) -> None:
+        self.word = w
+        self.rows = _rotation_rows(w)
+        n = self.n = len(w)
+        ahead = [[0] + [sign_letters(row[:l]) for l in range(1, n + 1)] for row in self.rows[:n]]
+        back = [[0] + [-ahead[(-s - l) % n][l] for l in range(1, n + 1)] for s in range(n)]
+        self.sg = ahead + back
+        self.low_peak = [self._greedy(r) for r in range(2 * n)]
+        self.unique_from = _unique_from(self.rows)
+
+    def key(self, r: int, i: int, j: int) -> int:
+        return 0
+
+    def sign(self, r: int, l: int) -> int:
+        return self.sg[r][l]
+
+    def _greedy(self, r: int) -> tuple[int, int]:
+        # prefix_profile of row r: prefix i against prefix j < i is the sign
+        # of span [j, i), the length-(i - j) prefix of row r rotated by j.
+        peak = low = 0
+        for i in range(1, self.n + 1):
+            if self.sign(self.shift(r, peak), i - peak) > 0:
+                peak = i
+            if self.sign(self.shift(r, low), i - low) < 0:
+                low = i
+        return low, peak
 
 
 def _prefix_count(u_letters: tuple[Letter, ...], elements: tuple[Rotation, ...]) -> int:

@@ -166,17 +166,12 @@ def test_spans_agree_with_pointwise_classification(order):
                 assert ((i, j) in descents) == is_descent(piece, order)
 
 
-def per_slice(cmp):
-    """Prefix-sign rows that sign every prefix on its own through the kernel."""
-    return lambda row: [0] + [cmp._sign_letters(row[:l]) for l in range(1, len(row) + 1)]
-
-
 def test_cyclic_signs_match_every_rotation(order, swapped):
     # Periodic words and length one included: maximal_ascent reads the table too.
     for cmp in (order, swapped):
         for n in range(1, 7):
             for w in enumerate_cyclically_reduced(2, n):
-                table = CyclicSigns(w, cmp._prefix_signs)
+                table = CyclicSigns(w, cmp)
                 elements = rotation_set(w)
                 assert tuple(table.element(r) for r in range(2 * n)) == elements
                 assert table.rows == [e.word.letters for e in elements]
@@ -192,7 +187,11 @@ def test_cyclic_signs_match_every_rotation(order, swapped):
                         assert table.rows[shifted] == table.rows[r][i:] + table.rows[r][:i]
                         for j in range(i + 1, n + 1):
                             piece = host[i:j]
-                            assert table.sg[shifted][j - i] == cmp.sign(piece)
+                            assert table.sign(shifted, j - i) == cmp.sign(piece)
+                            # A nonzero key is the span's exponent sums, and signs it.
+                            key = table.key(r, i, j)
+                            assert (key == 0) == _balanced(piece.letters, 2)
+                            assert not key or (key > 0) - (key < 0) == cmp.sign(piece)
                             assert table.is_ascent(shifted, j - i) == ((i, j) in ascents)
                             assert table.is_descent(shifted, j - i) == ((i, j) in descents)
                             assert len(table.starts(piece.letters)) == (
@@ -200,32 +199,51 @@ def test_cyclic_signs_match_every_rotation(order, swapped):
                             )
 
 
-@pytest.mark.parametrize("rank, top", [(2, 8), (3, 5)])
-def test_exponent_sum_table_matches_per_slice_table(rank, top):
-    # Every precedence, the default cap and caps 1-3: the same cells, or the
-    # same UndecidedAtCapError text.
+def _exponent_sums(letters, rank):
+    return [sum(l.sign for l in letters if l.generator == g) for g in range(1, rank + 1)]
+
+
+def _balanced(letters, rank):
+    return not any(_exponent_sums(letters, rank))
+
+
+def _same_table(w, fast, slow):
+    # The library's table and the reference table of the same order agree
+    # cell by cell, or raise the same UndecidedAtCapError; 1 if they raise.
+    try:
+        want = oracle.ReferenceSigns(w, slow._sign_letters)
+    except UndecidedAtCapError as exc:
+        with pytest.raises(UndecidedAtCapError) as got:
+            CyclicSigns(w, fast)
+        assert str(got.value) == str(exc), str(w)
+        return 1
+    table = CyclicSigns(w, fast)
+    n = len(w)
+    assert [[table.sign(r, l) for l in range(n + 1)] for r in range(2 * n)] == want.sg, str(w)
+    assert table.low_peak == want.low_peak, str(w)
+    assert table.unique_from == want.unique_from, str(w)
+    return 0
+
+
+@pytest.mark.parametrize(
+    "rank, top, dedup",
+    [(2, 7, "none"), (2, 8, "rotation_class"), (3, 4, "none"), (3, 5, "rotation_class")],
+)
+def test_key_table_matches_reference_table(rank, top, dedup):
+    # Every precedence, the default cap and caps 1-3, periodic words and
+    # length one included: the same cells, lows, peaks and uniqueness
+    # lengths, or the same UndecidedAtCapError text. The W^-1 rows' lows and
+    # peaks are mirrored in one table and found by the greedy in the other.
     undecided = 0
     for precedence in itertools.permutations(range(1, rank + 1)):
         for cap in (None, 1, 2, 3):
             fast = MagnusOrder(rank, precedence=precedence, cap=cap)
             slow = MagnusOrder(rank, precedence=precedence, cap=cap)
             for n in range(1, top + 1):
-                for w in enumerate_cyclically_reduced(rank, n, dedup="rotation_class"):
-                    try:
-                        want = CyclicSigns(w, per_slice(slow)).sg
-                    except UndecidedAtCapError as exc:
-                        with pytest.raises(UndecidedAtCapError) as got:
-                            CyclicSigns(w, fast._prefix_signs)
-                        assert str(got.value) == str(exc), str(w)
-                        undecided += 1
-                        continue
-                    assert CyclicSigns(w, fast._prefix_signs).sg == want, (str(w), cap)
+                for w in enumerate_cyclically_reduced(rank, n, dedup=dedup):
+                    undecided += _same_table(w, fast, slow)
             # Only balanced prefixes reached the kernel's sign memo.
-            for letters in fast._signs:
-                assert all(
-                    sum(l.sign for l in letters if l.generator == g) == 0
-                    for g in range(1, rank + 1)
-                ), letters
+            assert all(_balanced(letters, rank) for letters in fast._signs)
     assert undecided
 
 
@@ -255,7 +273,7 @@ def test_cyclic_hosts_match_occurrences(rank, top):
         for w in enumerate_cyclically_reduced(rank, n):
             if is_periodic(w):
                 continue
-            table = CyclicSigns(w, lambda row: [0] * (len(row) + 1))
+            table = oracle.ReferenceSigns(w, lambda letters: 0)
             elements = rotation_set(w)
             patterns = {
                 (e.word.letters * 2)[s : s + l]
@@ -293,6 +311,40 @@ def test_maximal_ascent_validation(order):
     for text in ("abA", "aabA"):
         with pytest.raises(NotCyclicallyReducedError):
             maximal_ascent(P(text), order)
+
+
+class KernelLog(MagnusOrder):
+    """A Magnus order that records every pair its series kernel compares."""
+
+    def __init__(self, rank, precedence=None):
+        super().__init__(rank, precedence)
+        self.calls = []
+
+    def _first_difference(self, lv, lw):
+        self.calls.append((lv, lw))
+        return super()._first_difference(lv, lw)
+
+
+@pytest.mark.parametrize("rank, top", [(2, 9), (3, 6)])
+@pytest.mark.parametrize("swap", [False, True], ids=["canonical", "swapped"])
+def test_maximal_ascent_sends_only_ties_to_the_kernel(rank, top, swap):
+    # The table signs only balanced prefixes through the kernel, and the
+    # search compares two candidates there only when their keys tie: every
+    # kernel call inside maximal_ascent has equal exponent sums on its two
+    # stripped sides, and the sign memo holds only balanced words.
+    cmp = KernelLog(rank, tuple(range(rank, 0, -1)) if swap else None)
+    for n in range(2, top + 1):
+        for w in enumerate_cyclically_reduced(rank, n, dedup="rotation_class"):
+            if not is_periodic(w):
+                maximal_ascent(w, cmp)
+    assert cmp.calls
+    for lv, lw in cmp.calls:
+        assert _exponent_sums(lv, rank) == _exponent_sums(lw, rank), (lv, lw)
+    assert all(_balanced(letters, rank) for letters in cmp._signs)
+    if rank == 2 and not swap:
+        # A rank-2 2..9 campaign makes 1,931 kernel calls; sending every
+        # candidate comparison to the kernel would make 5,055.
+        assert len(cmp.calls) <= 2000
 
 
 def test_bruteforce_and_peaklow_agree_small(order, swapped):

@@ -52,10 +52,13 @@ class LexOrder(MagnusOrder):
     def _compare_letters(self, lv, lw):
         return self._sign_letters(reduce(_inverse(lw) + lv, self.rank).letters)
 
-    def _prefix_signs(self, letters):
-        # Sign each prefix on its own: the exponent-sum rows are the Magnus
-        # order's, not this one's.
-        return [0] + [self._sign_letters(letters[:l]) for l in range(1, len(letters) + 1)]
+    def _cyclic_signs(self, w):
+        # The per-cell table: the exponent-sum keys are the Magnus order's,
+        # not this one's, and its low and peak need no invariance.
+        table = self._table
+        if table is None or table.word != w:
+            table = self._table = oracle.ReferenceSigns(w, self._sign_letters)
+        return table
 
 
 class CountThenReversedOrder(LexOrder):
@@ -112,9 +115,10 @@ def _assert_own_signs(w, cmp):
     # Every cell of the table the audit read is the order's own sign, in the
     # rows of w^-1 too, which the table fills by negation.
     table = cmp._cyclic_signs(w)
+    assert isinstance(table, oracle.ReferenceSigns)
     for r, row in enumerate(table.rows):
         for l in range(1, len(w) + 1):
-            assert table.sg[r][l] == cmp._sign_letters(row[:l]), (str(w), r, l)
+            assert table.sign(r, l) == cmp._sign_letters(row[:l]), (str(w), r, l)
 
 
 @pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])

@@ -33,7 +33,7 @@ from orderword import (
     weinbaum_factorizations,
     write_report,
 )
-from orderword import verify
+from orderword import cli, verify
 from orderword.series import CyclicSigns
 from orderword.verify import REPORT_SCHEMA
 
@@ -514,3 +514,74 @@ def test_capped_campaign_names_the_same_words(cap, precedence, count, words_sha2
     assert report.anomaly_count == count
     words = "\n".join(bad["word"] for bad in report.counterexamples)
     assert hashlib.sha256(words.encode("utf-8")).hexdigest() == words_sha256
+
+
+@pytest.mark.parametrize(
+    "rank, top, cap, precedence, count, digest",
+    [
+        (2, 7, 1, None, 162, "873c14a1db4f207fa8fa87260585d39f56cefe2074ea821cf5206db832c44d14"),
+        (2, 7, 1, (2, 1), 164, "15eb96fc48689cfde57a5e8c9f487d6a90f4d99f02c749a272ad9f7cb07a7ad6"),
+        (2, 7, 2, None, 5, "037bdbd465a3b4d2c550f2944abdcd98bb341a3f1dd729b3b43bc9712bf1a9d9"),
+        (2, 7, 2, (2, 1), 6, "ba37c0937959a448d335cafbd4c9ce3412f838f1ef7c155473557817abe757ea"),
+        (2, 7, 3, None, 0, "ed1947335dce69263521f9b925d78b508fc8dfb8555d34b8205cb64e68f85d52"),
+        (3, 5, 1, None, 182, "168ee45ebe912bbdc557bcb20c1555edd678dd02c08668d0c50bbb4ddc0f0600"),
+        (3, 5, 2, (2, 3, 1), 3, "7724e89e66dc445d7bfc6864e463ea2ff00ee7939de053332cf6b5006b1a0373"),
+    ],
+    ids=[
+        "cap1-canonical",
+        "cap1-swapped",
+        "cap2-canonical",
+        "cap2-swapped",
+        "cap3-canonical",
+        "rank3-cap1",
+        "rank3-231-cap2",
+    ],
+)
+def test_capped_report_is_unchanged(rank, top, cap, precedence, count, digest):
+    # SHA-256 of the whole lengths 2..top report without its wall clock, as
+    # first recorded. Each detail names the comparison that ran out of
+    # degrees, so this pins the order in which signs and candidates go to
+    # the kernel, not just which words fail.
+    report = run_campaign(rank, 2, top, precedence=precedence, cap=cap).to_dict()
+    report.pop("duration_seconds")
+    assert report["anomaly_count"] == count
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "dedup, count_of", [("rotation_class", rotation_class_count), ("none", nonperiodic_count)]
+)
+def test_campaign_class_count_is_the_closed_form(dedup, count_of):
+    # The enumerator yields exactly the closed-form count at every length,
+    # so the report records no mismatch.
+    report = run_campaign(2, 1, 7, dedup=dedup)
+    assert report.nonperiodic_count == sum(count_of(2, n) for n in range(2, 8))
+    assert report.words_checked == report.nonperiodic_count
+    assert report.count_mismatch is None and "count_mismatch" not in report.to_dict()
+    report = run_campaign(3, 2, 5, dedup=dedup)
+    assert report.nonperiodic_count == report.words_checked == sum(
+        count_of(3, n) for n in range(2, 6)
+    )
+    assert "count_mismatch" not in report.to_dict()
+
+
+def test_campaign_records_a_class_count_mismatch(monkeypatch, capsys):
+    # An enumerator that loses a class: the closed form still counts it, the
+    # mismatch gets its own report key, and the exit code stays anomaly-based.
+    real = verify._rotation_class_codes
+    lost = (0, 0, 0, 0, 2)  # aaaab
+
+    def lossy(size, n):
+        return (codes for codes in real(size, n) if codes != lost)
+
+    monkeypatch.setattr(verify, "_rotation_class_codes", lossy)
+    report = run_campaign(2, 2, 6)
+    assert report.nonperiodic_count == sum(rotation_class_count(2, n) for n in range(2, 7))
+    assert report.words_checked == report.nonperiodic_count - 1
+    classes = rotation_class_count(2, 5)
+    assert report.count_mismatch == {"5": [classes, classes - 1]}
+    assert report.to_dict()["count_mismatch"] == report.count_mismatch
+    assert report.anomaly_count == 0
+    assert cli.main(["campaign", "--min-len", "2", "--max-len", "6"]) == 0
+    assert capsys.readouterr().out.startswith(f"checked={report.words_checked} anomalies=0 ")

@@ -245,6 +245,8 @@ def test_primitive_root_goldens():
 def test_primitive_root_rejects_empty():
     with pytest.raises(ValueError):
         primitive_root(identity(2))
+    with pytest.raises(ValueError):
+        is_periodic(identity(2))
 
 
 def test_primitive_root_power_reconstructs_word():
@@ -255,6 +257,7 @@ def test_primitive_root_power_reconstructs_word():
             root, exponent = primitive_root(w)
             assert exponent * len(root) == len(w)
             assert concat(*([root] * exponent)) == w
+            assert is_periodic(w) == (exponent > 1)
             # No period shorter than the root.
             for d in range(1, len(root)):
                 assert w.letters != w.letters[:d] * (len(w) // d) or len(w) % d
