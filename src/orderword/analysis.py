@@ -116,21 +116,26 @@ def maximal_ascent(w: Word, cmp: MagnusOrder) -> Word:
     """The unique order-largest ascent over all subwords of the rotation set of w.
 
     Per rotation, the candidate is the slice from the low prefix to the peak
-    prefix. Candidates with different exponent-sum keys are ordered by their
-    keys, at degree 1; only equal keys reach the kernel.
+    prefix. Candidates are ordered by their exponent-sum keys, at degree 1,
+    then by their degree-2 keys; only candidates equal in both reach the kernel.
     """
     if len(w) == 0:
         raise ValueError("the empty word has no ascent")
     table = cmp._cyclic_signs(w)
-    spans = [(r, low, peak) for r, (low, peak) in enumerate(table.low_peak) if low < peak]
-    keys = {table.rows[r][low:peak]: table.key(r, low, peak) for r, low, peak in spans}
-    if not keys:
+    low_peak = enumerate(table.low_peak)
+    spans = {table.rows[r][low:peak]: (r, low, peak) for r, (low, peak) in low_peak if low < peak}
+    if not spans:
         raise AscentPlacementError(f"no ascent found among subwords of {w!r}")
     best = best_key = None
     # A set grown in row order fixes the comparisons' order, so a cap stops the same one.
-    for candidate in {span for span in keys}:
-        key = keys[candidate]
-        if best is None or (key - best_key or cmp._compare_letters(candidate, best)) > 0:
+    for candidate in {span for span in spans}:
+        span = spans[candidate]
+        key = table.key(*span)
+        if best is None or (
+            key - best_key
+            or table.key2(*span, cmp) - table.key2(*spans[best], cmp)
+            or cmp._compare_letters(candidate, best)
+        ) > 0:
             best, best_key = candidate, key
     return Word(best, w.rank)
 

@@ -386,10 +386,10 @@ class MagnusOrder:
 
         Degree 1 of a word's image is its exponent-sum vector (Magnus 1935). A
         key holds the vector in mixed radix, places in precedence order, radix
-        above twice the length: the sign of key j minus key i is the degree-1
+        L^2 + 1 for L letters: the sign of key j minus key i is the degree-1
         sign of letters[i:j], so its sign unless that span is balanced.
         """
-        weight = [(2 * len(letters) + 1) ** (self.rank - 1 - p) for p in self._place]
+        weight = [(len(letters) ** 2 + 1) ** (self.rank - 1 - p) for p in self._place]
         key, out = 0, [0]
         for generator, sign in letters:
             if generator >= len(weight):
@@ -397,6 +397,24 @@ class MagnusOrder:
             key += sign * weight[generator]
             out.append(key)
         return out
+
+    def _pair_keys(self, letters: tuple[Letter, ...]) -> tuple[list[int], list[int]]:
+        """``(A, Q)``: the exponent sums and degree-2 component of ``()`` and each prefix.
+
+        In the radix R of :meth:`_prefix_keys`, A holds e_p at R^(r(r - 1 - p)),
+        and Q the coefficient of X_p X_q at R^(r^2 - 1 - rp - q). Appending x_q
+        adds e X_q to degree 2; appending x_q^-1 subtracts it and adds X_q^2.
+        """
+        radix, rank = len(letters) ** 2 + 1, self.rank
+        weight = [radix ** (rank - 1 - p) for p in self._place]
+        lift = [radix ** (rank * (rank - 1 - p)) for p in self._place]
+        a, q, sums, pairs = 0, 0, [0], [0]
+        for generator, sign in letters:
+            q += (a if sign > 0 else lift[generator] - a) * weight[generator]
+            a += sign * lift[generator]
+            sums.append(a)
+            pairs.append(q)
+        return sums, pairs
 
     def _cyclic_signs(self, w: Word) -> CyclicSigns:
         """The sign table of w, kept until a table of another word is asked for."""
@@ -426,13 +444,13 @@ class CyclicSigns:
     """The signs of the prefixes of every rotation-set element of one word.
 
     Row r holds element r: w rotated by r for r < n, then w^-1 rotated by r - n.
-    Span [i, j) of row r is the length-(j - i) prefix of row ``shift(r, i)``;
-    the sign of its exponent-sum key ``key(r, i, j)`` is its degree-1 sign, and
-    ``sign(r, l)`` is the sign of a prefix. The order must be bi-invariant. Only
-    the balanced prefixes of the rows of w reach it, in row and prefix order, so
-    a cap raises where signing each prefix would. Row n + s is (row t)^-1 for
-    t = (n - s) mod n and takes their negated signs; its prefix i is (row t)^-1
-    times prefix n - i of row t, so its low and peak are n - low, n - peak of t's.
+    Span [i, j) of row r is the length-(j - i) prefix of row ``shift(r, i)``; its
+    degree-1 and degree-2 signs are those of ``key(r, i, j)`` and ``key2(r, i, j,
+    order)``, and ``sign(r, l)`` is the sign of a prefix. The order must be bi-invariant.
+    Only the balanced prefixes of the rows of w with a zero key2 reach it, in row and
+    prefix order, so a cap raises where signing each prefix would. Row n + s is (row t)^-1
+    for t = (n - s) mod n and takes their negated signs; its prefix i is (row t)^-1 times
+    prefix n - i of row t, so its low and peak are n - low, n - peak of t's.
     """
 
     def __init__(self, w: Word, order: MagnusOrder) -> None:
@@ -440,10 +458,12 @@ class CyclicSigns:
         self.rows = _rotation_rows(w)
         n = self.n = len(w)
         keys = self._keys = order._prefix_keys(w.letters * 2)
+        self._pairs = None
         # The signs of the balanced prefixes, by (row, length).
         balanced = self._balanced = {}
         for s, l in ((s, l) for s in range(n) for l in range(1, n + 1) if keys[s + l] == keys[s]):
-            sign = balanced[s, l] = order._sign_letters(self.rows[s][:l])
+            key2 = self.key2(s, 0, l, order)
+            sign = balanced[s, l] = (key2 > 0) - (key2 < 0) or order._sign_letters(self.rows[s][:l])
             balanced[n + (-s - l) % n, l] = -sign
         # prefix_profile(row s): prefix i against prefix j < i is the sign of span [j, i).
         ahead = []
@@ -469,6 +489,24 @@ class CyclicSigns:
         # The inverse of span [n - j, n - i) of row (n - r) mod n.
         t = -r % n + n
         return keys[t - j] - keys[t - i]
+
+    def key2(self, r: int, i: int, j: int, order: MagnusOrder) -> int:
+        """The degree-2 key of span [i, j) of row r, or 0 under a cap of 1.
+
+        Its sign is the span's degree-2 sign. ``order`` is the table's own, and
+        builds the pair keys on first use. By Chen's identity degree 2 of span
+        u = [x, y) of W·W is Q[y] - Q[x] - e(x)e(u), and that of u^-1 is
+        e(u)e(u) minus u's. No coefficient of at most n letters reaches R / 4.
+        """
+        if order.cap is not None and order.cap < 2:
+            return 0
+        if self._pairs is None:
+            self._pairs = order._pair_keys(self.word.letters * 2)
+        (sums, q), keys, n = self._pairs, self._keys, self.n
+        if r < n:
+            return q[r + j] - q[r + i] - sums[r + i] * (keys[r + j] - keys[r + i])
+        t = -r % n + n
+        return q[t - j] - q[t - i] + sums[t - i] * (keys[t - i] - keys[t - j])
 
     def sign(self, r: int, l: int) -> int:
         """The sign of the length-l prefix of row r."""

@@ -223,24 +223,27 @@ def weinbaum_factorizations(w: Word) -> tuple[tuple[Word, Word], ...]:
     """
     _require_decomposable(w, "factorization")
     rows = _rotation_rows(w)
+    unique_from, n = _unique_from(rows), len(w)
+    # The tail is a prefix of row (r + cut) mod n; see ``words._unique_from``.
     return tuple(
         (Word(rows[r][:cut], w.rank), Word(rows[r][cut:], w.rank))
-        for r, cut in _weinbaum_cuts(_unique_from(rows))
-    )
-
-
-def _weinbaum_cuts(unique_from: list[int]) -> list[tuple[int, int]]:
-    """(r, cut) for each split of rotation r < n into uniquely positioned halves.
-
-    The tail is a prefix of row (r + cut) mod n; see ``words._unique_from``.
-    """
-    n = len(unique_from) // 2
-    return [
-        (r, cut)
         for r in range(n)
         for cut in range(1, n)
         if cut >= unique_from[r] and n - cut >= unique_from[(r + cut) % n]
-    ]
+    )
+
+
+def _weinbaum_count(unique_from: list[int]) -> int:
+    """The number of Weinbaum factorizations, from the uniqueness lengths of the rows."""
+    n = len(unique_from) // 2
+    head, count = unique_from[:n], 0
+    free = n - max(head)  # every cut up to here leaves a uniquely positioned tail
+    for r, u in enumerate(head):
+        count += free - u + 1 if u <= free else 0
+        for cut in range(max(u, free + 1), n):
+            if n - cut >= head[(r + cut) % n]:
+                count += 1
+    return count
 
 
 def _checks_monotonic(cmp: MagnusOrder) -> bool:
@@ -256,7 +259,7 @@ def _unaudited(w: Word, anomaly: Anomaly) -> WordReport:
         ascent_uniquely_positioned=None,
         descent_status=None,
         monotonic=is_monotonic(w),
-        weinbaum_count=len(weinbaum_factorizations(w)),
+        weinbaum_count=_weinbaum_count(_unique_from(_rotation_rows(w))),
         anomalies=[anomaly],
     )
 
@@ -367,7 +370,7 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
                 )
             )
 
-    weinbaum_count = len(_weinbaum_cuts(table.unique_from))
+    weinbaum_count = _weinbaum_count(table.unique_from)
     if not weinbaum_count:
         anomalies.append(Anomaly("no_weinbaum_factorization", str(w)))
 

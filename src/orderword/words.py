@@ -89,6 +89,13 @@ class Word:
         return self.letters[0] != self.letters[-1].inverse()
 
 
+_TEXT_LETTERS = {  # each text letter's Letter and its inverse; A..Z are the inverses of a..z
+    chr(base + g): (Letter(g + 1, sign), Letter(g + 1, -sign))
+    for base, sign in ((ord("a"), 1), (ord("A"), -1)) for g in range(_MAX_TEXT_GENERATORS)
+}
+_LETTER_TEXT = {letter: ch for ch, (letter, _) in _TEXT_LETTERS.items()}
+
+
 class Rotation(NamedTuple):
     """One element of a rotation set: the rotated word plus its origin tag."""
 
@@ -111,29 +118,26 @@ def parse_word(text: str, rank: int) -> Word:
     >>> parse_word("aA", 2)
     Word('1', rank=2)
     """
-    letters = []
-    for ch in text:
-        if "a" <= ch <= "z":
-            generator, sign = ord(ch) - ord("a") + 1, 1
-        elif "A" <= ch <= "Z":
-            generator, sign = ord(ch) - ord("A") + 1, -1
+    letters: list[Letter] = []
+    for c in text:
+        letter, inverse = _TEXT_LETTERS.get(c, (None, None))
+        if letter is None:
+            raise ValueError(f"invalid character {c!r} in word text")
+        if letter.generator > rank:
+            raise ValueError(f"letter {c!r} needs generator {letter.generator} but rank is {rank}")
+        if letters and letters[-1] == inverse:
+            letters.pop()
         else:
-            raise ValueError(f"invalid character {ch!r} in word text")
-        if generator > rank:
-            raise ValueError(f"letter {ch!r} needs generator {generator} but rank is {rank}")
-        letters.append(Letter(generator, sign))
-    return reduce(letters, rank)
+            letters.append(letter)
+    return Word(tuple(letters), rank)
 
 
 def word_to_text(w: Word) -> str:
     """Render a word as letter text; inverse of :func:`parse_word` on reduced words."""
-    parts = []
-    for letter in w.letters:
-        if letter.generator > _MAX_TEXT_GENERATORS:
-            raise ValueError(f"generator {letter.generator} has no single-letter name")
-        base = ord("a") if letter.sign > 0 else ord("A")
-        parts.append(chr(base + letter.generator - 1))
-    return "".join(parts)
+    try:
+        return "".join(_LETTER_TEXT[letter] for letter in w.letters)
+    except KeyError as exc:
+        raise ValueError(f"generator {exc.args[0].generator} has no single-letter name") from None
 
 
 def reduce(letters: Iterable[Letter], rank: int) -> Word:

@@ -81,8 +81,8 @@ class ReferenceSigns(CyclicSigns):
 
     ``sign_letters`` signs each prefix of a row of w; the length-l prefix of
     row n + s is the inverse of the one of row (-s - l) mod n, and takes its
-    negated sign. ``key`` is always 0, so every comparison of two spans
-    goes to the order.
+    negated sign. ``key`` and ``key2`` are always 0, so every comparison of
+    two spans goes to the order.
     """
 
     def __init__(self, w: Word, sign_letters) -> None:
@@ -96,6 +96,9 @@ class ReferenceSigns(CyclicSigns):
         self.unique_from = _unique_from(self.rows)
 
     def key(self, r: int, i: int, j: int) -> int:
+        return 0
+
+    def key2(self, r: int, i: int, j: int, order) -> int:
         return 0
 
     def sign(self, r: int, l: int) -> int:

@@ -33,7 +33,7 @@ from orderword import (
     rotation_set,
     uniquely_positioned,
 )
-from orderword.series import CyclicSigns, UndecidedAtCapError
+from orderword.series import CyclicSigns, UndecidedAtCapError, _components
 from orderword.verify import check_word, enumerate_cyclically_reduced, weinbaum_factorizations
 from orderword.words import _rotation_rows, _unique_from
 from wordgen import all_reduced, random_reduced
@@ -247,6 +247,93 @@ def test_key_table_matches_reference_table(rank, top, dedup):
     assert undecided
 
 
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _degree2_sign(store, place, lv, lw=()):
+    # The kernel's degree 2 alone: the sign at the first monomial where the
+    # degree-2 components of lv and lw differ, 0 where they agree.
+    a = _components(store, lv, 2, place)[2]
+    b = _components(store, lw, 2, place)[2]
+    if a == b:
+        return 0
+    first, _ = min(a.items() ^ b.items())
+    return 1 if a.get(first, 0) > b.get(first, 0) else -1
+
+
+@pytest.mark.parametrize("rank, top", [(2, 6), (3, 4)])
+def test_key2_is_the_degree_2_sign_of_every_span(rank, top):
+    # Every span of every row, the rows of w^-1 included, under every
+    # precedence, periodic words and length one included: key2 has the sign
+    # of the span's degree-2 component at its first nonzero monomial, and is
+    # 0 exactly where that component is zero.
+    for precedence in itertools.permutations(range(1, rank + 1)):
+        cmp = MagnusOrder(rank, precedence=precedence)
+        store = {}
+        for n in range(1, top + 1):
+            for w in enumerate_cyclically_reduced(rank, n):
+                table = CyclicSigns(w, cmp)
+                for r, row in enumerate(table.rows):
+                    for i in range(n):
+                        for j in range(i + 1, n + 1):
+                            want = _degree2_sign(store, cmp._place, row[i:j])
+                            assert _sign(table.key2(r, i, j, cmp)) == want, (str(w), r, i, j)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["canonical", "swapped"])
+def test_key2_decides_balanced_spans_and_key_ties(swap):
+    # The two places the library reads key2, on every rank-2 class of
+    # lengths 2..9: the balanced spans of every row, and every pair of
+    # candidate ascents with equal exponent-sum keys.
+    cmp = MagnusOrder(2, (2, 1) if swap else None)
+    store, place = {}, cmp._place
+    balanced = ties = 0
+    for n in range(2, 10):
+        for w in enumerate_cyclically_reduced(2, n, dedup="rotation_class"):
+            table = CyclicSigns(w, cmp)
+            rows = table.rows
+            for r, row in enumerate(rows):
+                for i in range(n):
+                    for j in range(i + 1, n + 1):
+                        if not table.key(r, i, j):
+                            balanced += 1
+                            want = _degree2_sign(store, place, row[i:j])
+                            assert _sign(table.key2(r, i, j, cmp)) == want, (str(w), r, i, j)
+            spans = [(r, lo, hi) for r, (lo, hi) in enumerate(table.low_peak) if lo < hi]
+            for a, b in itertools.combinations(spans, 2):
+                if table.key(*a) == table.key(*b):
+                    ties += 1
+                    (ra, ia, ja), (rb, ib, jb) = a, b
+                    want = _degree2_sign(store, place, rows[ra][ia:ja], rows[rb][ib:jb])
+                    assert _sign(table.key2(*a, cmp) - table.key2(*b, cmp)) == want, (str(w), a, b)
+    assert balanced and ties
+
+
+def test_key2_holds_large_coefficients():
+    # a^k b^k A^k B^k c has degree-2 coefficients up to k^2 = 900, far above
+    # twice its length at k = 30: every prefix of every rotation and of every
+    # rotation of its inverse, against the kernel.
+    cmp = MagnusOrder(3)
+    for k in range(1, 31):
+        w = P("a" * k + "b" * k + "A" * k + "B" * k + "c", 3)
+        table = CyclicSigns(w, cmp)
+        for r, row in enumerate(table.rows):
+            store = {}
+            for l in range(1, len(w) + 1):
+                want = _degree2_sign(store, cmp._place, row[:l])
+                assert _sign(table.key2(r, 0, l, cmp)) == want, (k, r, l)
+
+
+def test_key2_is_off_under_a_cap_of_one():
+    # A cap of 1 stops the kernel at degree 1, so no degree-2 key decides.
+    w = P("aab")
+    capped, order = MagnusOrder(2, cap=1), MagnusOrder(2, cap=2)
+    spans = [(r, i, j) for r in range(6) for i in range(3) for j in range(i + 1, 4)]
+    assert CyclicSigns(w, order).key2(0, 0, 3, order) > 0
+    assert not any(CyclicSigns(w, capped).key2(*span, capped) for span in spans)
+
+
 @pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])
 def test_unique_from_matches_prefix_counts(rank, top):
     # Periodic words and length one included; every row and every length.
@@ -328,23 +415,26 @@ class KernelLog(MagnusOrder):
 @pytest.mark.parametrize("rank, top", [(2, 9), (3, 6)])
 @pytest.mark.parametrize("swap", [False, True], ids=["canonical", "swapped"])
 def test_maximal_ascent_sends_only_ties_to_the_kernel(rank, top, swap):
-    # The table signs only balanced prefixes through the kernel, and the
-    # search compares two candidates there only when their keys tie: every
-    # kernel call inside maximal_ascent has equal exponent sums on its two
-    # stripped sides, and the sign memo holds only balanced words.
+    # The table signs through the kernel only the balanced prefixes whose
+    # degree 2 is zero, and the search compares two candidates there only
+    # when their exponent-sum and degree-2 keys both tie: every kernel call
+    # has the same components through degree 2 on its two stripped sides,
+    # and the sign memo holds only words whose degrees 1 and 2 vanish.
     cmp = KernelLog(rank, tuple(range(rank, 0, -1)) if swap else None)
     for n in range(2, top + 1):
         for w in enumerate_cyclically_reduced(rank, n, dedup="rotation_class"):
             if not is_periodic(w):
                 maximal_ascent(w, cmp)
     assert cmp.calls
+    store, place = {}, cmp._place
     for lv, lw in cmp.calls:
-        assert _exponent_sums(lv, rank) == _exponent_sums(lw, rank), (lv, lw)
-    assert all(_balanced(letters, rank) for letters in cmp._signs)
-    if rank == 2 and not swap:
-        # A rank-2 2..9 campaign makes 1,931 kernel calls; sending every
-        # candidate comparison to the kernel would make 5,055.
-        assert len(cmp.calls) <= 2000
+        assert _components(store, lv, 2, place)[1:3] == _components(store, lw, 2, place)[1:3]
+    assert all(_components(store, letters, 2, place)[1:3] == [{}, {}] for letters in cmp._signs)
+    # A rank-2 2..9 campaign makes 132 kernel calls (141 swapped), and a
+    # rank-3 2..6 one makes 24; with degree 1 alone they made 1,931, 2,031
+    # and 1,410, and with every candidate comparison in the kernel 5,055
+    # at rank 2.
+    assert len(cmp.calls) <= (200 if rank == 2 else 50)
 
 
 def test_bruteforce_and_peaklow_agree_small(order, swapped):

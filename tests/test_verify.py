@@ -6,6 +6,7 @@ import ast
 import hashlib
 import itertools
 import json
+import random
 import re
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from orderword import (
 from orderword import cli, verify
 from orderword.series import CyclicSigns
 from orderword.verify import REPORT_SCHEMA
+from wordgen import random_cyclically_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
 ROOT = Path(__file__).resolve().parent.parent
@@ -164,6 +166,39 @@ def test_weinbaum_preconditions():
         weinbaum_factorizations(P("a"))
     with pytest.raises(NotCyclicallyReducedError):
         weinbaum_factorizations(P("abA"))
+
+
+@pytest.mark.parametrize("rank, top", [(2, 9), (3, 6)])
+def test_weinbaum_count_is_the_number_of_factorizations(rank, top):
+    # check_word counts the splits without listing them.
+    cmp = MagnusOrder(rank)
+    for n in range(2, top + 1):
+        for w in enumerate_cyclically_reduced(rank, n, dedup="rotation_class"):
+            if not is_periodic(w):
+                assert check_word(w, cmp).weinbaum_count == len(weinbaum_factorizations(w)), str(w)
+
+
+# Seeded long words of wordgen.random_cyclically_reduced, and the SHA-256 of
+# check_word's report on each, recorded before the degree-2 keys.
+LONG_WORDS = [
+    (200, 2, 200, "9e7c1a4df557abc2eaacc53b980a887f743b7fa76b01724a2c3b952b366f52cf"),
+    (400, 2, 400, "502f1b530dd5851e270cada0020c442dc3cc5b354167ae5d1aef9f42c1521ffe"),
+    (3200, 3, 200, "f5495d9755ea7b1dee47f9bb7835d467fa596aad47452e27fdc6fbf2f4d80de6"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, rank, length, digest", LONG_WORDS, ids=["rank2-200", "rank2-400", "rank3-200"]
+)
+def test_long_word_report_is_unchanged(monkeypatch, seed, rank, length, digest):
+    w = random_cyclically_reduced(random.Random(seed), length, rank)
+    report = check_word(w, MagnusOrder(rank)).to_dict()
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    # The count is the length of the list of factorizations; only that length
+    # is read, so the list holds placeholders in place of its Words.
+    monkeypatch.setattr(verify, "Word", lambda letters, rank: None)
+    assert report["weinbaum_count"] == len(weinbaum_factorizations(w))
 
 
 # ---------------------------------------------------------------- per-word checks

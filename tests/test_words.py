@@ -61,6 +61,47 @@ def test_parse_rejects_generator_beyond_rank():
         parse_word("abc", 2)
 
 
+def _parse_then_reduce(text, rank):
+    # parse_word as it was: map every character, then reduce the sequence.
+    letters = []
+    for ch in text:
+        if "a" <= ch <= "z":
+            generator, sign = ord(ch) - ord("a") + 1, 1
+        elif "A" <= ch <= "Z":
+            generator, sign = ord(ch) - ord("A") + 1, -1
+        else:
+            raise ValueError(f"invalid character {ch!r} in word text")
+        if generator > rank:
+            raise ValueError(f"letter {ch!r} needs generator {generator} but rank is {rank}")
+        letters.append(Letter(generator, sign))
+    return reduce(letters, rank)
+
+
+def _outcome(parse, text, rank):
+    try:
+        return parse(text, rank)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_matches_parse_then_reduce():
+    # The same word, or the same error text for the same first offending
+    # character, on random texts that cancel often and hold every kind of
+    # bad character, at ranks 0 to 27.
+    rng = random.Random(2301)
+    alphabet = "aAbBcCzZ" + "!1 \u00e9`{@[" + "ab" * 4
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        rank = rng.choice((0, 1, 2, 3, 25, 26, 27))
+        assert _outcome(parse_word, text, rank) == _outcome(_parse_then_reduce, text, rank), text
+    for rank in (1, 2, 3):
+        for n in range(0, 5):
+            for w in all_reduced(rank, n):
+                text = str(w) if n else ""
+                doubled = text + text.swapcase()[::-1] + text
+                assert parse_word(doubled, rank) == _parse_then_reduce(doubled, rank) == w
+
+
 def test_text_round_trip_exhaustive_small():
     for n in range(0, 5):
         for w in all_reduced(2, n):
