@@ -122,8 +122,10 @@ def maximal_ascent(w: Word, cmp: MagnusOrder) -> Word:
     if len(w) == 0:
         raise ValueError("the empty word has no ascent")
     table = cmp._cyclic_signs(w)
-    low_peak = enumerate(table.low_peak)
-    spans = {table.rows[r][low:peak]: (r, low, peak) for r, (low, peak) in low_peak if low < peak}
+    # Rows whose spans sit at one cyclic place, (half, start, length), share the letters.
+    low_peak, n = enumerate(table.low_peak), table.n
+    places = {(r < n, (r + lo) % n, hi - lo): (r, lo, hi) for r, (lo, hi) in low_peak if lo < hi}
+    spans = {table.letters(*span): span for span in places.values()}
     if not spans:
         raise AscentPlacementError(f"no ascent found among subwords of {w!r}")
     best = best_key = None
@@ -133,7 +135,7 @@ def maximal_ascent(w: Word, cmp: MagnusOrder) -> Word:
         key = table.key(*span)
         if best is None or (
             key - best_key
-            or table.key2(*span, cmp) - table.key2(*spans[best], cmp)
+            or table.key2(*span) - table.key2(*spans[best])
             or cmp._compare_letters(candidate, best)
         ) > 0:
             best, best_key = candidate, key

@@ -8,7 +8,7 @@ import sys
 
 from .analysis import AscentPlacementError, InvariantViolationError, MagnusOrder, decompose
 from .series import UndecidedAtCapError, mu, series_text
-from .verify import check_word, run_campaign, weinbaum_factorizations
+from .verify import _weinbaum_cuts, check_word, run_campaign
 from .words import _MAX_TEXT_GENERATORS, parse_word
 
 # Largest number of monomials, sum of rank**d over d <= degree, that
@@ -154,11 +154,14 @@ def _yesno(value: bool | None) -> str:
 
 
 def cmd_weinbaum(args: argparse.Namespace) -> int:
-    pairs = weinbaum_factorizations(parse_word(args.word, args.rank))
-    for head, tail in pairs:
-        print(f"{head} | {tail}")
-    print(f"count={len(pairs)}")
-    return 0 if pairs else 3
+    word = parse_word(args.word, args.rank)
+    cuts = _weinbaum_cuts(word)
+    # Each split of rotation r at cut, read from the word's text written twice.
+    doubled, n = str(word) * 2, len(word)
+    for r, cut in cuts:
+        print(f"{doubled[r : r + cut]} | {doubled[r + cut : r + n]}")
+    print(f"count={len(cuts)}")
+    return 0 if cuts else 3
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:

@@ -14,10 +14,11 @@ order also keeps the prefix signs of one word's rotation set,
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
-from .words import FROM_INVERSE, FROM_WORD, Letter, Rotation, Word, _rotation_rows, _unique_from
+from .words import FROM_INVERSE, FROM_WORD, Letter, Rotation, Word, _sorted_rotations
 
 # A monomial is the tuple of variable indices read left to right:
 # () is the constant term, (1, 2) is X1*X2, (2, 2) is X2^2.
@@ -381,6 +382,13 @@ class MagnusOrder:
         sign = self._signs.get(letters)
         return self._compare_letters(letters, ()) if sign is None else sign
 
+    def _weights(self, base: int) -> list[int]:
+        """``base ** (rank - 1 - place[g])`` for each generator g, by repeated multiplication."""
+        powers = [1]
+        for _ in range(self.rank - 1):
+            powers.append(powers[-1] * base)
+        return [powers[self.rank - 1 - p] for p in self._place]
+
     def _prefix_keys(self, letters: tuple[Letter, ...]) -> list[int]:
         """``[0]`` and then the exponent-sum key of every nonempty prefix of letters.
 
@@ -389,10 +397,10 @@ class MagnusOrder:
         L^2 + 1 for L letters: the sign of key j minus key i is the degree-1
         sign of letters[i:j], so its sign unless that span is balanced.
         """
-        weight = [(len(letters) ** 2 + 1) ** (self.rank - 1 - p) for p in self._place]
-        key, out = 0, [0]
+        weight = self._weights(len(letters) ** 2 + 1)
+        key, out, top = 0, [0], self.rank
         for generator, sign in letters:
-            if generator >= len(weight):
+            if generator > top:
                 raise ValueError(f"generator {generator} outside rank {self.rank}")
             key += sign * weight[generator]
             out.append(key)
@@ -405,9 +413,8 @@ class MagnusOrder:
         and Q the coefficient of X_p X_q at R^(r^2 - 1 - rp - q). Appending x_q
         adds e X_q to degree 2; appending x_q^-1 subtracts it and adds X_q^2.
         """
-        radix, rank = len(letters) ** 2 + 1, self.rank
-        weight = [radix ** (rank - 1 - p) for p in self._place]
-        lift = [radix ** (rank * (rank - 1 - p)) for p in self._place]
+        radix = len(letters) ** 2 + 1
+        weight, lift = self._weights(radix), self._weights(radix**self.rank)
         a, q, sums, pairs = 0, 0, [0], [0]
         for generator, sign in letters:
             q += (a if sign > 0 else lift[generator] - a) * weight[generator]
@@ -441,67 +448,75 @@ def magnus_compare_words(
 
 
 class CyclicSigns:
-    """The signs of the prefixes of every rotation-set element of one word.
+    """The prefix signs, lows, peaks and sorted order of one word's rotation set.
 
-    Row r holds element r: w rotated by r for r < n, then w^-1 rotated by r - n.
+    Row r is element r: w rotated by r for r < n, then w^-1 rotated by r - n.
     Span [i, j) of row r is the length-(j - i) prefix of row ``shift(r, i)``; its
-    degree-1 and degree-2 signs are those of ``key(r, i, j)`` and ``key2(r, i, j,
-    order)``, and ``sign(r, l)`` is the sign of a prefix. The order must be bi-invariant.
-    Only the balanced prefixes of the rows of w with a zero key2 reach it, in row and
-    prefix order, so a cap raises where signing each prefix would. Row n + s is (row t)^-1
-    for t = (n - s) mod n and takes their negated signs; its prefix i is (row t)^-1 times
-    prefix n - i of row t, so its low and peak are n - low, n - peak of t's.
+    degree-1 and degree-2 signs are those of ``key(r, i, j)`` and ``key2(r, i, j)``.
+    The order must be bi-invariant: row n + s is (row t)^-1 for t = (n - s) mod n,
+    so it takes negated signs, and n - low, n - peak of t's. The table holds its
+    order weakly, so that neither keeps the other alive.
     """
 
     def __init__(self, w: Word, order: MagnusOrder) -> None:
-        self.word = w
-        self.rows = _rotation_rows(w)
-        n = self.n = len(w)
-        keys = self._keys = order._prefix_keys(w.letters * 2)
-        self._pairs = None
-        # The signs of the balanced prefixes, by (row, length).
-        balanced = self._balanced = {}
-        for s, l in ((s, l) for s in range(n) for l in range(1, n + 1) if keys[s + l] == keys[s]):
-            key2 = self.key2(s, 0, l, order)
-            sign = balanced[s, l] = (key2 > 0) - (key2 < 0) or order._sign_letters(self.rows[s][:l])
-            balanced[n + (-s - l) % n, l] = -sign
-        # prefix_profile(row s): prefix i against prefix j < i is the sign of span [j, i).
-        ahead = []
+        from weakref import ref  # loaded at start-up by the modules orderword imports
+
+        self.word, self.n, self._order = w, len(w), ref(order)
+        self._text, self._sorted, self._lcp, self.unique_from = _sorted_rotations(w)
+        n = self.n
+        keys = self._keys = order._prefix_keys(self._text[: 2 * n])
+        # Pair keys are built on first use; under a cap of 1 there are none.
+        self._pairs = () if order.cap is not None and order.cap < 2 else None
+        if order.cap is not None:
+            # A cap raises where signing each prefix of the rows of w would, in that order.
+            for s, j in ((s, j) for s in range(n) for j in range(s + 1, s + n + 1)):
+                if keys[j] == keys[s]:
+                    self._span(s, j)
+        # Prefix i of row s < n is P(s)^-1 P(s + i) for the prefixes P of W·W, so its
+        # low and peak are the argmin and argmax of P over [s, s + n], less s. Each such
+        # window holds n: its extremes over [s, n] come from one pass down, over [n, s + n]
+        # from one pass up. P(x) < P(y) for x < y when span [x, y) is positive.
+        span, low, peak = self._span, [n] * (n + 1), [n] * (n + 1)
+        for s in range(n - 1, -1, -1):
+            x, y = low[s + 1], peak[s + 1]
+            low[s] = s if (keys[x] - keys[s] or span(s, x)) > 0 else x
+            peak[s] = s if (keys[y] - keys[s] or span(s, y)) < 0 else y
+        x = y = n
         for s in range(n):
-            peak = low = 0
-            for i in range(1, n + 1):
-                key = keys[s + i]
-                if (key - keys[s + peak] or balanced[(s + peak) % n, i - peak]) > 0:
-                    peak = i
-                if (key - keys[s + low] or balanced[(s + low) % n, i - low]) < 0:
-                    low = i
-            ahead.append((low, peak))
-        # prefix_profile(element r): the (low, peak) prefix lengths.
-        self.low_peak = ahead + [(n - ahead[-s % n][0], n - ahead[-s % n][1]) for s in range(n)]
-        # A prefix of row r is uniquely positioned iff its length is at least unique_from[r].
-        self.unique_from = _unique_from(self.rows)
+            if s and (keys[n + s] - keys[x] or span(x, n + s)) < 0:
+                x = n + s
+            if s and (keys[n + s] - keys[y] or span(y, n + s)) > 0:
+                y = n + s
+            a, b = low[s], peak[s]
+            a = x if a < x and (keys[x] - keys[a] or span(a, x)) < 0 else a
+            b = y if b < y and (keys[y] - keys[b] or span(b, y)) > 0 else b
+            low[s], peak[s] = a - s, b - s
+        # The (low, peak) prefix lengths of every row.
+        mirror = [(n - low[-s % n], n - peak[-s % n]) for s in range(n)]
+        self.low_peak = list(zip(low[:n], peak[:n])) + mirror
+
+    def _span(self, i: int, j: int) -> int:
+        """The sign of span [i, j) of W·W: its key's, else its key2's, else the kernel's."""
+        key = self._keys[j] - self._keys[i] or self.key2(0, i, j)
+        return (key > 0) - (key < 0) if key else self._order()._sign_letters(self._text[i:j])
 
     def key(self, r: int, i: int, j: int) -> int:
         """The key of span [i, j) of row r: its sign is the span's degree-1 sign."""
-        keys, n = self._keys, self.n
-        if r < n:
-            return keys[r + j] - keys[r + i]
-        # The inverse of span [n - j, n - i) of row (n - r) mod n.
-        t = -r % n + n
-        return keys[t - j] - keys[t - i]
+        keys, n, t = self._keys, self.n, -r % self.n + self.n
+        # Span [i, j) of row n + s is the inverse of span [t - j, t - i) of W·W.
+        return keys[r + j] - keys[r + i] if r < n else keys[t - j] - keys[t - i]
 
-    def key2(self, r: int, i: int, j: int, order: MagnusOrder) -> int:
+    def key2(self, r: int, i: int, j: int) -> int:
         """The degree-2 key of span [i, j) of row r, or 0 under a cap of 1.
 
-        Its sign is the span's degree-2 sign. ``order`` is the table's own, and
-        builds the pair keys on first use. By Chen's identity degree 2 of span
-        u = [x, y) of W·W is Q[y] - Q[x] - e(x)e(u), and that of u^-1 is
-        e(u)e(u) minus u's. No coefficient of at most n letters reaches R / 4.
+        Its sign is the span's degree-2 sign. By Chen's identity degree 2 of span
+        u = [x, y) of W·W is Q[y] - Q[x] - e(x)e(u), and that of u^-1 is e(u)e(u)
+        minus u's. No coefficient of at most n letters reaches R / 4.
         """
-        if order.cap is not None and order.cap < 2:
-            return 0
         if self._pairs is None:
-            self._pairs = order._pair_keys(self.word.letters * 2)
+            self._pairs = self._order()._pair_keys(self._text[: 2 * self.n])
+        if not self._pairs:  # a cap of 1
+            return 0
         (sums, q), keys, n = self._pairs, self._keys, self.n
         if r < n:
             return q[r + j] - q[r + i] - sums[r + i] * (keys[r + j] - keys[r + i])
@@ -509,14 +524,21 @@ class CyclicSigns:
         return q[t - j] - q[t - i] + sums[t - i] * (keys[t - i] - keys[t - j])
 
     def sign(self, r: int, l: int) -> int:
-        """The sign of the length-l prefix of row r."""
-        key = self.key(r, 0, l)
-        return (key > 0) - (key < 0) if key else self._balanced.get((r, l), 0)
+        """The sign of the length-l prefix of row r: span [i, j) of W·W, or its inverse."""
+        keys, n = self._keys, self.n
+        i, j, want = (r, r + l, 1) if r < n else (-r % n + n - l, -r % n + n, -1)
+        key = keys[j] - keys[i]
+        return want * ((key > 0) - (key < 0) if key else self._span(i, j))
+
+    def letters(self, r: int, i: int, j: int) -> tuple[Letter, ...]:
+        """The letters of span [i, j) of row r."""
+        start = r + r // self.n * self.n
+        return self._text[start + i : start + j]
 
     def element(self, r: int) -> Rotation:
         """Rotation-set element r as a word with its origin."""
         origin = FROM_WORD if r < self.n else FROM_INVERSE
-        return Rotation(Word(self.rows[r], self.word.rank), origin)
+        return Rotation(Word(self.letters(r, 0, self.n), self.word.rank), origin)
 
     def shift(self, r: int, i: int) -> int:
         """The row of element r rotated by i within its half."""
@@ -526,12 +548,17 @@ class CyclicSigns:
     def starts(self, pattern: tuple[Letter, ...]) -> list[int]:
         """The rotation-set elements that start with the nonempty pattern, in order.
 
-        Span [i, j) of element r is a prefix of element ``shift(r, i)``, so
-        this also places every copy of the pattern: the pattern is uniquely
-        positioned exactly when one element starts with it.
+        They are one run of the sorted rows. Span [i, j) of element r is a prefix of
+        element ``shift(r, i)``, so this also places every copy of the pattern.
         """
-        m = len(pattern)
-        return [r for r, row in enumerate(self.rows) if row[:m] == pattern]
+        m, n, text, order, lcp = len(pattern), self.n, self._text, self._sorted, self._lcp
+        i = bisect_left(order, pattern, key=lambda r: text[r + r // n * n : r + r // n * n + m])
+        if m > n or i == len(order) or self.letters(order[i], 0, m) != pattern:
+            return []
+        j = i + 1
+        while lcp[j] >= m:
+            j += 1
+        return sorted(order[i:j])
 
     def _monotone(self, r: int, l: int, want: int) -> bool:
         # Every prefix and every suffix of the length-l prefix of row r has sign want.

@@ -31,8 +31,7 @@ from .series import UndecidedAtCapError
 from .words import (
     Letter,
     Word,
-    _rotation_rows,
-    _unique_from,
+    _sorted_rotations,
     is_monotonic,
     is_periodic,
     rotation_set,
@@ -215,21 +214,23 @@ def rotation_class_count(rank: int, length: int) -> int:
     return classes
 
 
-def weinbaum_factorizations(w: Word) -> tuple[tuple[Word, Word], ...]:
-    """All splits rotation = U * V with both halves uniquely positioned in w.
+def _weinbaum_cuts(w: Word) -> list[tuple[int, int]]:
+    """Each ``(r, cut)``, in order, where rotation r of w splits into uniquely positioned halves.
 
-    Scans every rotation of w itself (not of the inverse) in offset order and
-    every split point in order; nonperiodic cyclically reduced input required.
+    Only rotations of w itself count; nonperiodic cyclically reduced input required.
     """
     _require_decomposable(w, "factorization")
-    rows = _rotation_rows(w)
-    unique_from, n = _unique_from(rows), len(w)
-    # The tail is a prefix of row (r + cut) mod n; see ``words._unique_from``.
+    u, n = _sorted_rotations(w)[3], len(w)
+    # The tail is a prefix of row (r + c) mod n; see ``words._sorted_rotations``.
+    return [(r, c) for r in range(n) for c in range(1, n) if c >= u[r] and n - c >= u[(r + c) % n]]
+
+
+def weinbaum_factorizations(w: Word) -> tuple[tuple[Word, Word], ...]:
+    """All splits rotation = U * V with both halves uniquely positioned in w, in order."""
+    doubled, n = w.letters * 2, len(w)
     return tuple(
-        (Word(rows[r][:cut], w.rank), Word(rows[r][cut:], w.rank))
-        for r in range(n)
-        for cut in range(1, n)
-        if cut >= unique_from[r] and n - cut >= unique_from[(r + cut) % n]
+        (Word(doubled[r : r + cut], w.rank), Word(doubled[r + cut : r + n], w.rank))
+        for r, cut in _weinbaum_cuts(w)
     )
 
 
@@ -259,7 +260,7 @@ def _unaudited(w: Word, anomaly: Anomaly) -> WordReport:
         ascent_uniquely_positioned=None,
         descent_status=None,
         monotonic=is_monotonic(w),
-        weinbaum_count=_weinbaum_count(_unique_from(_rotation_rows(w))),
+        weinbaum_count=_weinbaum_count(_sorted_rotations(w)[3]),
         anomalies=[anomaly],
     )
 
@@ -309,12 +310,12 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
     anomalies: list[Anomaly] = []
     monotonic = is_monotonic(w)
     table = cmp._cyclic_signs(w)
-    rows, n = table.rows, table.n
+    n = table.n
     ascent, descent = dec.ascent, dec.descent
     a_letters, size = ascent.letters, len(ascent)
 
     # The maximal ascent must be an ascent, and a prefix of exactly one rotation.
-    chosen_row = rows.index(dec.chosen.letters)
+    chosen_row = table.starts(dec.chosen.letters)[0]
     if not table.is_ascent(chosen_row, size):
         anomalies.append(
             Anomaly("maximal_ascent_not_ascent", f"{ascent} is not an ascent of {dec.chosen}")
@@ -335,9 +336,10 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
         descent_status = "empty"
     else:
         descent_status = "unique" if dec.descent_unique else "internal_in_A"
+        # A copy at offset q of the chosen rotation starts its row rotated by q.
         d_starts = table.starts(descent.letters)
-        offsets = [q for q in range(n) if table.shift(chosen_row, q) in d_starts]
-        for q in offsets:
+        half = chosen_row - chosen_row % n
+        for q in sorted((s - chosen_row) % n for s in d_starts if s - s % n == half):
             if q != size and not 1 <= q <= size - len(descent) - 1:
                 anomalies.append(
                     Anomaly(
@@ -359,14 +361,15 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
     for r in table.hosts(a_starts, size):
         if table.sign(r, n) <= 0:
             anomalies.append(
-                Anomaly("host_not_positive", f"{Word(rows[r], w.rank)} contains {ascent}")
+                Anomaly("host_not_positive", f"{table.element(r).word} contains {ascent}")
             )
+        # Its low-to-peak slice is A when it has A's length and starts a row that A starts.
         low, peak = table.low_peak[r]
-        if not (low < peak and rows[r][low:peak] == a_letters):
+        if not (peak - low == size and table.shift(r, low) in a_starts):
             anomalies.append(
                 Anomaly(
                     "peak_low_slice_mismatch",
-                    f"host {Word(rows[r], w.rank)}: low {low}, peak {peak}, ascent {ascent}",
+                    f"host {table.element(r).word}: low {low}, peak {peak}, ascent {ascent}",
                 )
             )
 

@@ -94,6 +94,7 @@ _TEXT_LETTERS = {  # each text letter's Letter and its inverse; A..Z are the inv
     for base, sign in ((ord("a"), 1), (ord("A"), -1)) for g in range(_MAX_TEXT_GENERATORS)
 }
 _LETTER_TEXT = {letter: ch for ch, (letter, _) in _TEXT_LETTERS.items()}
+_INVERSE = dict(_TEXT_LETTERS.values())  # a letter's inverse, for generators with text names
 
 
 class Rotation(NamedTuple):
@@ -199,11 +200,16 @@ def rotation_set(w: Word) -> tuple[Rotation, ...]:
 
 def _rotation_rows(w: Word) -> list[tuple[Letter, ...]]:
     """The rotation set's elements as letters: w rotated by r, then w^-1 rotated by r."""
+    text, n = _rotation_text(w), len(w)
+    return [text[a : a + n] for a in (*range(n), *range(2 * n, 3 * n))]
+
+
+def _rotation_text(w: Word) -> tuple[Letter, ...]:
+    """W·W·W^-1·W^-1: row r of the rotation set is its n letters from r + r // n * n."""
     if not w.is_cyclically_reduced:
         raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
-    letters, n = w.letters, len(w)
-    inv = tuple(Letter(g, -s) for g, s in reversed(letters))
-    return [doubled[r : r + n] for doubled in (letters * 2, inv * 2) for r in range(n)]
+    inv = tuple([_INVERSE.get(l) or l.inverse() for l in reversed(w.letters)])
+    return w.letters * 2 + inv * 2
 
 
 def _period(letters: tuple[Letter, ...]) -> int:
@@ -238,23 +244,48 @@ def occurrences(pattern: Word, host: Word) -> tuple[int, ...]:
     return tuple(i for i in range(len(txt) - m + 1) if txt[i : i + m] == pat)
 
 
-def _unique_from(rows: list[tuple[Letter, ...]]) -> list[int]:
-    """``u[r]``: a length-l prefix of rows[r] is uniquely positioned iff l >= u[r].
+def _sorted_rotations(w: Word) -> tuple[tuple[Letter, ...], list[int], list[int], list[int]]:
+    """``(text, order, lcp, unique_from)``: the rows of w's rotation set, sorted.
 
-    u[r] is 1 + the longest common prefix of row r with any other row, which
-    is reached at a sorted neighbour: rows sorted between two rows share
-    their common prefix. A row equal to another (periodic words) gets n + 1.
+    Rows lie in ``text`` (see :func:`_rotation_text`); ``order`` lists them sorted,
+    and ``lcp[i]`` is the common prefix length of rows ``order[i - 1]`` and
+    ``order[i]``, 0 at both ends. A length-l prefix of row r is uniquely
+    positioned iff l >= ``unique_from[r]``. See the README for the algorithm.
     """
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    u = [1] * len(rows)
-    for r, s in zip(order, order[1:]):
-        a, b = rows[r], rows[s]
-        k = 0
-        while k < len(a) and a[k] == b[k]:
-            k += 1
-        u[r] = max(u[r], k + 1)
-        u[s] = max(u[s], k + 1)
-    return u
+    text, n = _rotation_text(w), len(w)
+    size, h = 2 * n, min(16, n)
+    at = [*range(n), *range(2 * n, 3 * n)]  # where each row starts
+    key = [text[a : a + h] for a in at]
+    order = sorted(range(size), key=key.__getitem__)
+    # Runs tied through h letters sort by the group, the first place in order of
+    # its ties, of each row rotated by h (Manber-Myers); then they tie through 2h.
+    group, runs = [0] * size, [(0, size)]
+    while runs and h < n:
+        ties = []
+        for lo, hi in runs:
+            first = lo
+            for i in range(lo, hi + 1):
+                if i == hi or key[order[i]] != key[order[first]]:
+                    ties += [(first, i)] if i - first > 1 else []
+                    first = i
+                if i < hi:
+                    group[order[i]] = first
+        key = [group[r - r % n + (r + h) % n] for r in range(size)]
+        for lo, hi in ties:
+            order[lo:hi] = sorted(order[lo:hi], key=key.__getitem__)
+        runs, h = ties, 2 * h
+    rank, lcp, k = [0] * size, [0] * (size + 1), 0
+    for i, r in enumerate(order):
+        rank[r] = i
+    # Kasai: a row's successor in its half shares one letter less, at least, with its neighbour.
+    for r, i in enumerate(rank):
+        k = 0 if r % n == 0 or not i else k
+        if i:
+            a, b = at[order[i - 1]], at[r]
+            while k < n and text[a + k] == text[b + k]:
+                k += 1
+            lcp[i], k = k, k - (k > 0)
+    return text, order, lcp, [1 + (lcp[i] if lcp[i] > lcp[i + 1] else lcp[i + 1]) for i in rank]
 
 
 def uniquely_positioned(u: Word, w: Word) -> bool:

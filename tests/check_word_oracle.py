@@ -25,9 +25,12 @@ what this one does without the three labels.
 ``ReferenceSigns`` is the library's sign table as it was before it read
 exponent-sum keys: one sign per cell, each prefix of a row of w signed on
 its own, the rows of w^-1 by negation, and the greedy low and peak run on
-all 2n rows. It assumes only an antisymmetric sign, so the orders of the
-parity sweeps that are not bi-invariant audit through it, and the
-library's table is tested against it.
+all 2n rows. Its uniqueness lengths come from ``_unique_from``, which
+sorts the materialised rows. It assumes only an antisymmetric sign, so the
+orders of the parity sweeps that are not bi-invariant audit through it, and
+the library's table is tested against it. It takes the library's letter text
+and sorted rows only for the positional lookups it inherits: ``starts``,
+``letters`` and ``element``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from orderword.words import (
     Rotation,
     Word,
     _rotation_rows,
-    _unique_from,
+    _sorted_rotations,
     concat,
     inverse,
     is_monotonic,
@@ -89,6 +92,7 @@ class ReferenceSigns(CyclicSigns):
         self.word = w
         self.rows = _rotation_rows(w)
         n = self.n = len(w)
+        self._text, self._sorted, self._lcp, _ = _sorted_rotations(w)
         ahead = [[0] + [sign_letters(row[:l]) for l in range(1, n + 1)] for row in self.rows[:n]]
         back = [[0] + [-ahead[(-s - l) % n][l] for l in range(1, n + 1)] for s in range(n)]
         self.sg = ahead + back
@@ -98,7 +102,7 @@ class ReferenceSigns(CyclicSigns):
     def key(self, r: int, i: int, j: int) -> int:
         return 0
 
-    def key2(self, r: int, i: int, j: int, order) -> int:
+    def key2(self, r: int, i: int, j: int) -> int:
         return 0
 
     def sign(self, r: int, l: int) -> int:
@@ -114,6 +118,25 @@ class ReferenceSigns(CyclicSigns):
             if self.sign(self.shift(r, low), i - low) < 0:
                 low = i
         return low, peak
+
+
+def _unique_from(rows: list[tuple[Letter, ...]]) -> list[int]:
+    """``u[r]``: a length-l prefix of rows[r] is uniquely positioned iff l >= u[r].
+
+    u[r] is 1 + the longest common prefix of row r with any other row, which
+    is reached at a sorted neighbour: rows sorted between two rows share
+    their common prefix. A row equal to another (periodic words) gets n + 1.
+    """
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    u = [1] * len(rows)
+    for r, s in zip(order, order[1:]):
+        a, b = rows[r], rows[s]
+        k = 0
+        while k < len(a) and a[k] == b[k]:
+            k += 1
+        u[r] = max(u[r], k + 1)
+        u[s] = max(u[s], k + 1)
+    return u
 
 
 def _prefix_count(u_letters: tuple[Letter, ...], elements: tuple[Rotation, ...]) -> int:

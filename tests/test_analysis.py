@@ -12,6 +12,7 @@ from orderword import (
     FROM_INVERSE,
     FROM_WORD,
     LengthOneError,
+    Letter,
     MagnusOrder,
     NotCyclicallyReducedError,
     Ordering,
@@ -35,8 +36,8 @@ from orderword import (
 )
 from orderword.series import CyclicSigns, UndecidedAtCapError, _components
 from orderword.verify import check_word, enumerate_cyclically_reduced, weinbaum_factorizations
-from orderword.words import _rotation_rows, _unique_from
-from wordgen import all_reduced, random_reduced
+from orderword.words import _rotation_rows, _sorted_rotations
+from wordgen import all_reduced, random_cyclically_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
 
@@ -173,8 +174,9 @@ def test_cyclic_signs_match_every_rotation(order, swapped):
             for w in enumerate_cyclically_reduced(2, n):
                 table = CyclicSigns(w, cmp)
                 elements = rotation_set(w)
+                rows = _rotation_rows(w)
                 assert tuple(table.element(r) for r in range(2 * n)) == elements
-                assert table.rows == [e.word.letters for e in elements]
+                assert rows == [e.word.letters for e in elements]
                 for r, element in enumerate(elements):
                     host = element.word
                     ascents, descents = ascent_descent_spans(host, cmp)
@@ -184,7 +186,7 @@ def test_cyclic_signs_match_every_rotation(order, swapped):
                         assert (l >= table.unique_from[r]) == unique, (str(w), r, l)
                     for i in range(n):
                         shifted = table.shift(r, i)
-                        assert table.rows[shifted] == table.rows[r][i:] + table.rows[r][:i]
+                        assert rows[shifted] == rows[r][i:] + rows[r][:i]
                         for j in range(i + 1, n + 1):
                             piece = host[i:j]
                             assert table.sign(shifted, j - i) == cmp.sign(piece)
@@ -274,11 +276,11 @@ def test_key2_is_the_degree_2_sign_of_every_span(rank, top):
         for n in range(1, top + 1):
             for w in enumerate_cyclically_reduced(rank, n):
                 table = CyclicSigns(w, cmp)
-                for r, row in enumerate(table.rows):
+                for r, row in enumerate(_rotation_rows(w)):
                     for i in range(n):
                         for j in range(i + 1, n + 1):
                             want = _degree2_sign(store, cmp._place, row[i:j])
-                            assert _sign(table.key2(r, i, j, cmp)) == want, (str(w), r, i, j)
+                            assert _sign(table.key2(r, i, j)) == want, (str(w), r, i, j)
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["canonical", "swapped"])
@@ -292,21 +294,21 @@ def test_key2_decides_balanced_spans_and_key_ties(swap):
     for n in range(2, 10):
         for w in enumerate_cyclically_reduced(2, n, dedup="rotation_class"):
             table = CyclicSigns(w, cmp)
-            rows = table.rows
+            rows = _rotation_rows(w)
             for r, row in enumerate(rows):
                 for i in range(n):
                     for j in range(i + 1, n + 1):
                         if not table.key(r, i, j):
                             balanced += 1
                             want = _degree2_sign(store, place, row[i:j])
-                            assert _sign(table.key2(r, i, j, cmp)) == want, (str(w), r, i, j)
+                            assert _sign(table.key2(r, i, j)) == want, (str(w), r, i, j)
             spans = [(r, lo, hi) for r, (lo, hi) in enumerate(table.low_peak) if lo < hi]
             for a, b in itertools.combinations(spans, 2):
                 if table.key(*a) == table.key(*b):
                     ties += 1
                     (ra, ia, ja), (rb, ib, jb) = a, b
                     want = _degree2_sign(store, place, rows[ra][ia:ja], rows[rb][ib:jb])
-                    assert _sign(table.key2(*a, cmp) - table.key2(*b, cmp)) == want, (str(w), a, b)
+                    assert _sign(table.key2(*a) - table.key2(*b)) == want, (str(w), a, b)
     assert balanced and ties
 
 
@@ -318,11 +320,11 @@ def test_key2_holds_large_coefficients():
     for k in range(1, 31):
         w = P("a" * k + "b" * k + "A" * k + "B" * k + "c", 3)
         table = CyclicSigns(w, cmp)
-        for r, row in enumerate(table.rows):
+        for r, row in enumerate(_rotation_rows(w)):
             store = {}
             for l in range(1, len(w) + 1):
                 want = _degree2_sign(store, cmp._place, row[:l])
-                assert _sign(table.key2(r, 0, l, cmp)) == want, (k, r, l)
+                assert _sign(table.key2(r, 0, l)) == want, (k, r, l)
 
 
 def test_key2_is_off_under_a_cap_of_one():
@@ -330,8 +332,8 @@ def test_key2_is_off_under_a_cap_of_one():
     w = P("aab")
     capped, order = MagnusOrder(2, cap=1), MagnusOrder(2, cap=2)
     spans = [(r, i, j) for r in range(6) for i in range(3) for j in range(i + 1, 4)]
-    assert CyclicSigns(w, order).key2(0, 0, 3, order) > 0
-    assert not any(CyclicSigns(w, capped).key2(*span, capped) for span in spans)
+    assert CyclicSigns(w, order).key2(0, 0, 3) > 0
+    assert not any(CyclicSigns(w, capped).key2(*span) for span in spans)
 
 
 @pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])
@@ -342,7 +344,8 @@ def test_unique_from_matches_prefix_counts(rank, top):
         for w in enumerate_cyclically_reduced(rank, n):
             elements = rotation_set(w)
             rows = _rotation_rows(w)
-            u = _unique_from(rows)
+            u = _sorted_rotations(w)[3]
+            assert u == oracle._unique_from(rows), str(w)
             for r, row in enumerate(rows):
                 for l in range(1, n + 1):
                     unique = oracle._prefix_count(row[:l], elements) == 1
@@ -350,6 +353,79 @@ def test_unique_from_matches_prefix_counts(rank, top):
                     assert uniquely_positioned(Word(row[:l], rank), w) == unique, (str(w), r, l)
             if n > 1 and not is_periodic(w):
                 assert len(weinbaum_factorizations(w)) == check_word(w, cmp).weinbaum_count
+
+
+def _long_words():
+    # Past the 16-letter windows the sort refines its ties: seeded words, and
+    # powers and near-powers whose rows tie far beyond 16 letters.
+    rng = random.Random(1717)
+    for rank in (1, 2, 3):
+        for n in (17, 33, 64, 101):
+            yield random_cyclically_reduced(rng, n, rank)
+    for text in ("ab" * 20, "a" * 40 + "b", "aab" * 13, "aabaab" * 6 + "b", "abAB" * 9, "aaB" * 11):
+        yield P(text)
+
+
+def test_sorted_rotations_sort_every_row():
+    # Short words of every shape and the long ones: the order sorts the rows,
+    # lcp is each sorted neighbour pair's common prefix, unique_from is the
+    # oracle's, and starts finds exactly the rows a pattern begins.
+    words = [w for n in range(1, 7) for w in enumerate_cyclically_reduced(2, n)]
+    for w in words + list(_long_words()):
+        n, rows = len(w), _rotation_rows(w)
+        text, order, lcp, unique_from = _sorted_rotations(w)
+        assert sorted(order) == list(range(2 * n)), str(w)
+        assert [rows[r] for r in order] == sorted(rows), str(w)
+        assert lcp[0] == lcp[2 * n] == 0, str(w)
+        for i in range(1, 2 * n):
+            a, b = rows[order[i - 1]], rows[order[i]]
+            common = next((k for k in range(n) if a[k] != b[k]), n)
+            assert lcp[i] == common, (str(w), i)
+        assert unique_from == oracle._unique_from(rows), str(w)
+        table = CyclicSigns(w, MagnusOrder(w.rank))
+        some_rows = rows[:: max(1, n // 3)]
+        patterns = {row[s:][:m] for row in some_rows for s in (0, 1) for m in (1, 2, 16, 17, n)}
+        patterns.add((Letter(w.rank, -1),) * 2)
+        for pattern in filter(None, patterns):
+            want = [r for r, row in enumerate(rows) if row[: len(pattern)] == pattern]
+            assert table.starts(pattern) == want, (str(w), pattern)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["canonical", "swapped"])
+def test_long_word_tables_match_reference_table(swap):
+    # Lows, peaks, signs and uniqueness lengths on words past the 16-letter
+    # windows, with the default cap and a cap of 2.
+    for cap in (None, 2):
+        fast = MagnusOrder(2, (2, 1) if swap else None, cap)
+        slow = MagnusOrder(2, (2, 1) if swap else None, cap)
+        for w in _long_words():
+            if w.rank == 2 and len(w) <= 41:
+                _same_table(w, fast, slow)
+
+
+def test_maximal_ascent_slices_each_place_once(monkeypatch):
+    # Rows whose low-to-peak spans sit at one place of one half share their
+    # letters; the search slices each such place once.
+    calls = []
+    letters = CyclicSigns.letters
+
+    def counted(table, r, i, j):
+        calls.append((r, i, j))
+        return letters(table, r, i, j)
+
+    monkeypatch.setattr(CyclicSigns, "letters", counted)
+    cmp = MagnusOrder(2)
+    for w in list(enumerate_cyclically_reduced(2, 7, dedup="rotation_class")) + list(_long_words()):
+        if is_periodic(w) or w.rank != 2:
+            continue
+        table = cmp._cyclic_signs(w)
+        calls.clear()
+        maximal_ascent(w, cmp)
+        low_peak = enumerate(table.low_peak)
+        places = {(table.shift(r, lo), hi - lo) for r, (lo, hi) in low_peak if lo < hi}
+        assert len(calls) == len(places), str(w)
+        # A monotonic word's ascent is each whole row; elsewhere most rows share a place.
+        assert len(w) < 17 or is_monotonic(w) or len(places) < len(w), str(w)
 
 
 @pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])

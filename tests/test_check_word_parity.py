@@ -21,6 +21,7 @@ from orderword import (
     reduce,
 )
 from orderword import verify
+from orderword.words import _rotation_rows
 from wordgen import all_reduced
 
 
@@ -116,7 +117,7 @@ def _assert_own_signs(w, cmp):
     # rows of w^-1 too, which the table fills by negation.
     table = cmp._cyclic_signs(w)
     assert isinstance(table, oracle.ReferenceSigns)
-    for r, row in enumerate(table.rows):
+    for r, row in enumerate(_rotation_rows(w)):
         for l in range(1, len(w) + 1):
             assert table.sign(r, l) == cmp._sign_letters(row[:l]), (str(w), r, l)
 

@@ -189,6 +189,20 @@ def test_weinbaum_baaba(capsys):
     assert out.splitlines() == ["aa | bab", "bab | aa", "count=2"]
 
 
+def test_weinbaum_prints_every_factorization(capsys):
+    # The command writes each split from its cut offsets into the word's text:
+    # the same lines as the listed factorizations, at ranks 2 and 3.
+    for rank, top in ((2, 6), (3, 4)):
+        for n in range(2, top + 1):
+            for w in enumerate_cyclically_reduced(rank, n):
+                if is_periodic(w):
+                    continue
+                pairs = verify.weinbaum_factorizations(w)
+                code, out, err = run(capsys, "weinbaum", str(w), "--rank", str(rank))
+                assert out == "".join(f"{u} | {v}\n" for u, v in pairs) + f"count={len(pairs)}\n"
+                assert (code, err) == (0 if pairs else 3, ""), str(w)
+
+
 def test_weinbaum_periodic_exits_two(capsys):
     code, out, err = run(capsys, "weinbaum", "aa")
     assert code == 2

@@ -12,6 +12,7 @@ import sympy
 
 import series_oracle as oracle
 from orderword import (
+    Letter,
     MagnusOrder,
     MuCache,
     Ordering,
@@ -453,6 +454,30 @@ def test_series_text_matches_reference_product(rank, top, degrees):
             assert cache.mu_of(w.letters, rank, degree) == expected, (str(w), degree)
             for precedence in permutations(range(1, rank + 1)):
                 assert series_text(image, precedence) == series_text(expected, precedence)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["canonical", "reversed"])
+def test_prefix_and_pair_keys_equal_one_power_per_place(reverse):
+    # The weights are built by repeated multiplication; the keys must be the
+    # integers of one power per place, at every text rank, for a word that
+    # uses every generator, under both extremes of precedence.
+    rng = random.Random(2626)
+    for rank in range(1, 27):
+        cmp = MagnusOrder(rank, tuple(range(rank, 0, -1)) if reverse else None)
+        letters = random_reduced(rng, 2 * rank, rank).letters
+        letters += tuple(Letter(g, (-1) ** g) for g in range(1, rank + 1))
+        radix, place = len(letters) ** 2 + 1, cmp._place
+        weight = [radix ** (rank - 1 - p) for p in place]
+        lift = [radix ** (rank * (rank - 1 - p)) for p in place]
+        keys, a, q, sums, pairs = [0], 0, 0, [0], [0]
+        for g, sign in letters:
+            keys.append(keys[-1] + sign * weight[g])
+            q += (a if sign > 0 else lift[g] - a) * weight[g]
+            a += sign * lift[g]
+            sums.append(a)
+            pairs.append(q)
+        assert cmp._prefix_keys(letters) == keys, rank
+        assert cmp._pair_keys(letters) == (sums, pairs), rank
 
 
 @pytest.mark.parametrize(
