@@ -87,29 +87,24 @@ def ascent_descent_spans(
     for i in range(n):
         for j in range(i + 1, n + 1):
             sign[i, j] = cmp._sign_letters(letters[i:j])
-    # A span is an ascent iff every prefix span and suffix span is positive;
-    # both conditions extend one letter at a time.
-    pref_pos, pref_neg = {}, {}
-    for i in range(n):
-        all_pos = all_neg = True
-        for j in range(i + 1, n + 1):
-            s = sign[i, j]
-            all_pos = all_pos and s > 0
-            all_neg = all_neg and s < 0
-            pref_pos[i, j] = all_pos
-            pref_neg[i, j] = all_neg
-    ascents, descents = set(), set()
-    for j in range(1, n + 1):
-        all_pos = all_neg = True
-        for i in range(j - 1, -1, -1):
-            s = sign[i, j]
-            all_pos = all_pos and s > 0
-            all_neg = all_neg and s < 0
-            if all_pos and pref_pos[i, j]:
-                ascents.add((i, j))
-            if all_neg and pref_neg[i, j]:
-                descents.add((i, j))
-    return ascents, descents
+
+    def spans(want: int) -> set[tuple[int, int]]:
+        # [i, j) qualifies iff every prefix span [i, k) and suffix span [k, j)
+        # has sign want; a run of either stops at the first span that has not.
+        heads, tails = set(), set()
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                if sign[i, j] != want:
+                    break
+                heads.add((i, j))
+        for j in range(1, n + 1):
+            for i in range(j - 1, -1, -1):
+                if sign[i, j] != want:
+                    break
+                tails.add((i, j))
+        return heads & tails
+
+    return spans(1), spans(-1)
 
 
 def maximal_ascent(w: Word, cmp: MagnusOrder) -> Word:

@@ -91,15 +91,11 @@ def _check_series_size(rank: int, degree: int) -> None:
         raise ValueError("degree must be nonnegative")
     if degree > MAX_SERIES_DEGREE:
         raise ValueError(f"degree {degree} exceeds the ceiling of {MAX_SERIES_DEGREE}")
-    terms, power = 0, 1
-    for _ in range(degree + 1):
-        terms += power
-        if terms > MAX_SERIES_TERMS:
-            raise ValueError(
-                f"degree {degree} at rank {rank} allows more than "
-                f"{MAX_SERIES_TERMS:,} monomials"
-            )
-        power *= rank
+    terms = degree + 1 if rank == 1 else (rank ** (degree + 1) - 1) // (rank - 1)
+    if terms > MAX_SERIES_TERMS:
+        raise ValueError(
+            f"degree {degree} at rank {rank} allows more than {MAX_SERIES_TERMS:,} monomials"
+        )
 
 
 def cmd_series(args: argparse.Namespace) -> int:

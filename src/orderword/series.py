@@ -73,23 +73,12 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if a.rank != b.rank:
         raise ValueError("cannot multiply series of different ranks")
     bound = min(a.degree_bound, b.degree_bound)
-    by_degree: dict[int, list[tuple[Monomial, int]]] = {}
-    for mb, cb in b.coefficients.items():
-        by_degree.setdefault(len(mb), []).append((mb, cb))
     coeffs: dict[Monomial, int] = {}
     for ma, ca in a.coefficients.items():
-        room = bound - len(ma)
-        if room < 0:
-            continue
-        for degree in range(room + 1):
-            for mb, cb in by_degree.get(degree, ()):
-                key = ma + mb
-                value = coeffs.get(key, 0) + ca * cb
-                if value:
-                    coeffs[key] = value
-                elif key in coeffs:
-                    del coeffs[key]
-    return TruncatedSeries(a.rank, bound, coeffs)
+        for mb, cb in b.coefficients.items():
+            if len(ma) + len(mb) <= bound:
+                coeffs[ma + mb] = coeffs.get(ma + mb, 0) + ca * cb
+    return TruncatedSeries(a.rank, bound, {m: c for m, c in coeffs.items() if c})
 
 
 def _places(precedence: tuple[int, ...] | None, rank: int) -> tuple[int, ...]:

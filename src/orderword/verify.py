@@ -192,6 +192,8 @@ def _mobius(n: int) -> int:
 
 def nonperiodic_count(rank: int, length: int) -> int:
     """Closed-form count of nonperiodic cyclically reduced words."""
+    if rank < 1 or length < 1:
+        raise ValueError("rank and length must be positive")
     return sum(
         _mobius(length // d) * cyclically_reduced_count(rank, d)
         for d in range(1, length + 1)

@@ -60,9 +60,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 

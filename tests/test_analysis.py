@@ -476,6 +476,14 @@ def test_maximal_ascent_validation(order):
             maximal_ascent(P(text), order)
 
 
+@pytest.mark.parametrize(
+    "audit", [maximal_ascent, decompose, check_word], ids=lambda f: f.__name__
+)
+def test_generator_outside_the_order_rank_is_refused(audit):
+    with pytest.raises(ValueError, match="^generator 3 outside rank 2$"):
+        audit(P("abc", 3), MagnusOrder(2))
+
+
 class KernelLog(MagnusOrder):
     """A Magnus order that records every pair its series kernel compares."""
 

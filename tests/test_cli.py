@@ -8,11 +8,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from orderword import cli, verify
+from orderword import Anomaly, cli, verify
 from orderword.verify import enumerate_cyclically_reduced
 from orderword.words import is_periodic, parse_word, uniquely_positioned
 from orderword.cli import main
@@ -174,6 +175,19 @@ def test_verify_monotonic_word(capsys):
     assert "monotonic: yes" in lines
 
 
+def test_verify_prints_each_anomaly_and_exits_three(capsys, monkeypatch):
+    # cli binds check_word under its own name, so that is the name to patch.
+    real = cli.check_word
+
+    def flagged(w, cmp):
+        return replace(real(w, cmp), anomalies=[Anomaly("first", "one"), Anomaly("second", "two")])
+
+    monkeypatch.setattr(cli, "check_word", flagged)
+    code, out, err = run(capsys, "verify", "abAB")
+    assert (code, err) == (3, "")
+    assert out.splitlines() == VERIFY_ABAB[:-1] + ["anomaly: first: one", "anomaly: second: two"]
+
+
 # ---------------------------------------------------------------- weinbaum
 
 def test_weinbaum_lists_pairs(capsys):
@@ -201,6 +215,16 @@ def test_weinbaum_prints_every_factorization(capsys):
                 code, out, err = run(capsys, "weinbaum", str(w), "--rank", str(rank))
                 assert out == "".join(f"{u} | {v}\n" for u, v in pairs) + f"count={len(pairs)}\n"
                 assert (code, err) == (0 if pairs else 3, ""), str(w)
+
+
+def test_weinbaum_reads_neither_swap_order_nor_cap(capsys):
+    plain = run(capsys, "weinbaum", "abAB")
+    assert run(capsys, "weinbaum", "abAB", "--swap-order", "--cap", "1") == plain
+
+
+def test_series_ignores_cap(capsys):
+    plain = run(capsys, "series", "abAB", "--degree", "4")
+    assert run(capsys, "series", "abAB", "--degree", "4", "--cap", "1") == plain
 
 
 def test_weinbaum_periodic_exits_two(capsys):

@@ -122,6 +122,20 @@ def test_mul_uses_min_bound_and_checks_rank():
         mul(oracle.one(2, 2), oracle.one(3, 2))
 
 
+def test_mul_drops_terms_above_the_smaller_bound():
+    # a holds a monomial of degree 3, above b's bound of 2, so no product with
+    # it survives; nor does any pair whose degrees sum past 2.
+    a = TruncatedSeries(2, 4, {(): 1, (1,): 1, (1, 2, 1): 3})
+    b = TruncatedSeries(2, 2, {(): 2, (2,): -1, (1, 1): 5})
+    assert mul(a, b) == TruncatedSeries(
+        2, 2, {(): 2, (1,): 2, (2,): -1, (1, 2): -1, (1, 1): 5}
+    )
+    assert mul(b, a) == TruncatedSeries(
+        2, 2, {(): 2, (1,): 2, (2,): -1, (2, 1): -1, (1, 1): 5}
+    )
+    assert mul(TruncatedSeries(2, 5, {(1, 1, 1): 1}), oracle.one(2, 1)).coefficients == {}
+
+
 def test_mu_goldens():
     for image in (mu, oracle.mu):
         assert image(P("aB"), 1).coefficients == {(): 1, (1,): 1, (2,): -1}

@@ -86,6 +86,22 @@ def test_enumeration_validation():
         list(enumerate_cyclically_reduced(2, 0))
 
 
+@pytest.mark.parametrize(
+    "count, rank, length",
+    [
+        (cyclically_reduced_count, 0, 2),
+        (cyclically_reduced_count, 2, 0),
+        (nonperiodic_count, 2, 0),
+        (rotation_class_count, 2, -1),
+        (rotation_class_count, 2, 0),
+    ],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_closed_form_counts_need_positive_rank_and_length(count, rank, length):
+    with pytest.raises(ValueError, match="^rank and length must be positive$"):
+        count(rank, length)
+
+
 def test_nonperiodic_counts():
     assert nonperiodic_count(2, 2) == 8
     for rank in (2, 3):
