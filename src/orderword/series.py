@@ -8,6 +8,7 @@ a fixed monomial enumeration gives a total order on words, the
 :class:`MagnusOrder`. Word images are grown one homogeneous component at a
 time by one kernel, :func:`_components`: the order stops at the first degree
 where two images differ, and :func:`mu` reads an image through its bound. The
+order reads degrees 1 and 2 from one memoised tuple per word first. The
 order also keeps the prefix signs of one word's rotation set,
 :class:`CyclicSigns`, which every audit reads.
 """
@@ -286,6 +287,7 @@ class MagnusOrder:
         self.cap = cap
         self._store: dict[tuple[Letter, ...], Components] = {}
         self._signs: dict[tuple[Letter, ...], int] = {}
+        self._low: dict[tuple[Letter, ...], tuple[int, ...]] = {}
         self._table: CyclicSigns | None = None
 
     @property
@@ -305,11 +307,17 @@ class MagnusOrder:
     def _compare_letters(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
         """The one comparison path: +1, 0 or -1 as lv is above, equal to or below lw.
 
-        The order is invariant under multiplication on both sides, so the common
-        prefix and suffix cancel first. A lone remaining side is a subword whose
-        sign against the identity is memoised; two remaining sides are compared
-        degree by degree.
+        Each word's low degrees decide first (only degree 1 under a cap of 1). The
+        order is invariant under multiplication on both sides, so words tied there
+        tie on their stripped sides too: common ends cancel next. A lone remaining
+        side is a subword whose sign against the identity is memoised; two
+        remaining sides are compared degree by degree.
         """
+        low = self._low
+        a = low.get(lv) or self._low_degrees(lv)
+        b = low.get(lw) or self._low_degrees(lw)
+        if a != b and (self.cap != 1 or a[: self.rank] != b[: self.rank]):
+            return 1 if a > b else -1
         n = min(len(lv), len(lw))
         head = 0
         while head < n and lv[head] == lw[head]:
@@ -327,6 +335,27 @@ class MagnusOrder:
         if sign is None:
             sign = self._signs[u] = self._first_difference(u, ())
         return sign if lv else -sign
+
+    def _low_degrees(self, letters: tuple[Letter, ...]) -> tuple[int, ...]:
+        """Components 1 and 2 of the image of letters as one tuple, stored in the memo.
+
+        At rank r, entry p is the exponent sum e_p of the variable at place p and
+        entry r + rp + q the coefficient of X_p X_q, p and q places, so tuple order
+        is the order through degree 2. Appending x_p adds e_q X_q X_p for each q;
+        appending x_p^-1 subtracts them and adds X_p X_p.
+        """
+        r, place = self.rank, self._place
+        low = [0] * (r + r * r)
+        for generator, sign in letters:
+            if generator > r:
+                raise ValueError(f"generator {generator} outside rank {r}")
+            p = place[generator]
+            for q in range(r):
+                low[r + r * q + p] += sign * low[q]
+            low[r + r * p + p] += sign < 0
+            low[p] += sign
+        low = self._low[letters] = tuple(low)
+        return low
 
     def _first_difference(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
         """+1 or -1 as the image of lv is above or below that of lw.

@@ -521,6 +521,26 @@ def test_maximal_ascent_sends_only_ties_to_the_kernel(rank, top, swap):
     assert len(cmp.calls) <= (200 if rank == 2 else 50)
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["canonical", "swapped"])
+def test_compare_sends_only_degree_two_ties_to_the_kernel(swap):
+    # Every pair that the low degrees separate is decided without stripping,
+    # so the kernel sees only stripped sides that agree through degree 2.
+    precedence = (2, 1) if swap else None
+    cmp = KernelLog(2, precedence)
+    words = [w for n in range(0, 5) for w in all_reduced(2, n)]
+    for v, w in itertools.product(words, repeat=2):
+        cmp.compare(v, w)
+    assert cmp.calls
+    store, place = {}, cmp._place
+    for lv, lw in cmp.calls:
+        assert _components(store, lv, 2, place)[1:3] == _components(store, lw, 2, place)[1:3]
+    # Pairs that differ through degree 2 never reach the component store.
+    for v, w in ((P("a"), P("b")), (P("ab"), P("ba"))):
+        order = MagnusOrder(2, precedence)
+        assert order.compare(v, w) is not Ordering.EQUAL
+        assert order._store == {}
+
+
 def test_bruteforce_and_peaklow_agree_small(order, swapped):
     for cmp in (order, swapped):
         for n in range(1, 6):

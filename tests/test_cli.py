@@ -100,6 +100,22 @@ def test_compare_reports_cap_exhaustion_as_anomaly_exit(capsys):
     assert err.startswith("anomaly:")
 
 
+def test_compare_two_nonempty_sides(capsys):
+    code, out, err = run(capsys, "compare", "ab", "ba")
+    assert (code, out, err) == (0, "ab > ba\n", "")
+
+
+def test_compare_two_nonempty_sides_at_cap_one(capsys):
+    # ab and ba tie at degree 1 and share no end, so both sides reach the kernel.
+    code, out, err = run(capsys, "compare", "ab", "ba", "--cap", "1")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "anomaly: distinct words compared equal up to the cap of degree 1 "
+        "(lengths 2 and 2 without common ends); raise the cap\n"
+    )
+
+
 # ---------------------------------------------------------------- decompose
 
 def test_decompose_golden(capsys):

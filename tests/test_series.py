@@ -332,8 +332,26 @@ def test_magnus_compare_validation():
     # An order of rank 2 takes words of a higher rank only inside rank 2.
     order = MagnusOrder(2)
     assert order.compare(parse_word("ab", 3), parse_word("ba", 3)) is Ordering.GREATER
-    with pytest.raises(ValueError, match="generator 3 outside rank 2"):
-        order.compare(parse_word("c", 3), parse_word("a", 3))
+    a, c = parse_word("a", 3), parse_word("c", 3)
+    for v, w in ((c, a), (a, c)):
+        with pytest.raises(ValueError, match="^generator 3 outside rank 2$"):
+            order.compare(v, w)
+    with pytest.raises(ValueError, match="^generator 3 outside rank 2$"):
+        order.sign(c)
+
+
+@pytest.mark.parametrize("rank, top", [(2, 6), (3, 4)])
+def test_low_degrees_are_components_one_and_two_of_mu(rank, top):
+    # Entry p is the coefficient of the variable at place p, entry
+    # rank + rank * p + q that of the degree-2 monomial at places (p, q).
+    words = [w for n in range(0, top + 1) for w in all_reduced(rank, n)]
+    cells = [(p,) for p in range(rank)] + list(product(range(rank), repeat=2))
+    for precedence in permutations(range(1, rank + 1)):
+        order = MagnusOrder(rank, precedence)
+        for w in words:
+            parts = _homogeneous_parts(oracle.mu(w, 2), order._place, 2)
+            expected = tuple(parts[len(cell)].get(cell, 0) for cell in cells)
+            assert order._low_degrees(w.letters) == expected, (str(w), precedence)
 
 
 def test_undecided_at_cap_is_loud():
@@ -343,6 +361,11 @@ def test_undecided_at_cap_is_loud():
     # Common ends cancel first, so B*abAB*A against B*A is the same question.
     with pytest.raises(UndecidedAtCapError):
         MagnusOrder(2, cap=1).compare(P("BabABA"), P("BA"))
+    # ab and ba share their exponent sums and differ first at X1X2, degree 2.
+    with pytest.raises(UndecidedAtCapError, match="cap of degree 1"):
+        MagnusOrder(2, cap=1).compare(P("ab"), P("ba"))
+    for cap in (2, None):
+        assert MagnusOrder(2, cap=cap).compare(P("ab"), P("ba")) is Ordering.GREATER
 
 
 @pytest.mark.parametrize("precedence", [None, (2, 1)], ids=["canonical", "swapped"])
