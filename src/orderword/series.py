@@ -6,11 +6,12 @@ geometric series 1 - X_i + X_i^2 - ..., so inverse pairs telescope to 1
 exactly at every bound. Comparing two series coefficient-by-coefficient along
 a fixed monomial enumeration gives a total order on words, the
 :class:`MagnusOrder`. Word images are grown one homogeneous component at a
-time by one kernel, :func:`_components`: the order stops at the first degree
-where two images differ, and :func:`mu` reads an image through its bound. The
-order reads degrees 1 and 2 from one memoised tuple per word first. The
-order also keeps the prefix signs of one word's rotation set,
-:class:`CyclicSigns`, which every audit reads.
+time by one kernel, :func:`_degrees`, which streams them and stores none: the
+order stops at the first degree where two images differ, and :func:`mu` reads
+an image through its bound. The order reads degrees 1 and 2 from one memoised
+tuple per word first, and memoises the kernel's verdicts. It also keeps the
+prefix signs of one word's rotation set, :class:`CyclicSigns`, which every
+audit reads.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from typing import Iterator
 
 from .words import FROM_INVERSE, FROM_WORD, Letter, Rotation, Word, _sorted_rotations
 
@@ -166,58 +169,41 @@ def _syllable_count(letters: tuple[Letter, ...]) -> int:
     return sum(1 for a, b in zip([None] + generators, generators) if a != b)
 
 
-# A word's image as its homogeneous components: component d maps each
-# degree-d monomial with a nonzero coefficient to that coefficient. Here a
-# monomial is the tuple of its variables' enumeration positions, so plain
-# tuple order is the enumeration order within one degree.
-Components = list[dict[tuple[int, ...], int]]
+# A homogeneous component maps each monomial of one degree with a nonzero
+# coefficient to that coefficient. Here a monomial is the tuple of its
+# variables' enumeration positions, so plain tuple order is the enumeration
+# order within one degree.
+Component = dict[tuple[int, ...], int]
 
 _DEGREE_ZERO = {(): 1}
 
 
-def _components(
-    store: dict[tuple[Letter, ...], Components],
-    letters: tuple[Letter, ...],
-    degree: int,
-    place: tuple[int, ...],
-) -> Components:
-    """The components of the image of ``letters`` through ``degree``, memoised.
+def _degrees(letters: tuple[Letter, ...], place: tuple[int, ...]) -> Iterator[list[Component]]:
+    """Yield component 0, 1, 2, ... of the image of every prefix of letters, () first.
 
-    Component d of u*x_g is component d of u plus component d - 1 of u times
-    X_g. The image of u*x_g^-1 times 1 + X_g is that of u, so its component d
-    is component d of u minus its own component d - 1 times X_g. A word thus
-    grows one letter at a time from its longest stored prefix, and one degree
-    at a time from its prefixes' components, which are stored too; a prefix
-    of a stored word is always stored through at least the same degree.
-    Stored components are never changed, so equal ones may be shared.
+    So the last entry of yield d is component d of the word. Component d of
+    u*x_g is component d of u plus component d - 1 of u times X_g. The image of
+    u*x_g^-1 times 1 + X_g is that of u, so its component d is component d of u
+    minus its own component d - 1 times X_g. Each degree is thus one pass over
+    the letters that reads only the previous degree, and a component that a
+    letter leaves unchanged is shared: no yielded component is ever changed.
     """
-    entry = store.get(letters)
-    if entry is not None and len(entry) > degree:
-        return entry
-    # The prefixes that lack components, longest first.
-    short = []
-    i = len(letters)
-    while entry is None or len(entry) <= degree:
-        if entry is None:
-            entry = store[letters[:i]] = [_DEGREE_ZERO]
-        if i == 0:
-            entry.extend({} for _ in range(len(entry), degree + 1))
-            break
-        short.append((i, entry))
-        i -= 1
-        entry = store.get(letters[:i])
-    below = entry
-    for i, entry in reversed(short):
-        generator, sign = letters[i - 1]
-        if generator >= len(place):
-            raise ValueError(f"generator {generator} outside rank {len(place) - 1}")
-        x = (place[generator],)
-        for d in range(len(entry), degree + 1):
-            carry = below[d - 1] if sign > 0 else entry[d - 1]
+    top = len(place) - 1
+    steps = []
+    for generator, sign in letters:
+        if generator > top:
+            raise ValueError(f"generator {generator} outside rank {top}")
+        steps.append(((place[generator],), sign))
+    below = [_DEGREE_ZERO] * (len(steps) + 1)
+    while True:
+        yield below
+        parts: list[Component] = [{}]
+        for i, (x, sign) in enumerate(steps):
+            carry = below[i] if sign > 0 else below[i + 1]
             if not carry:
-                entry.append(below[d])
+                parts.append(parts[i])
                 continue
-            component = dict(below[d])
+            component = dict(parts[i])
             for monomial, coeff in carry.items():
                 monomial += x
                 coeff = component.get(monomial, 0) + sign * coeff
@@ -225,20 +211,14 @@ def _components(
                     component[monomial] = coeff
                 else:
                     del component[monomial]
-            entry.append(component)
-        below = entry
-    return below
+            parts.append(component)
+        below = parts
 
 
 class MuCache:
-    """Memo of word images of one rank over one store of homogeneous components.
-
-    A word grows from its longest stored prefix, one letter and one degree at
-    a time, whatever bound it is asked at (see :func:`_components`).
-    """
+    """Word images of one rank, each read from :func:`_degrees` through its bound."""
 
     def __init__(self) -> None:
-        self._store: dict[tuple[Letter, ...], Components] = {}
         self._place: tuple[int, ...] | None = None
 
     def mu_of(self, letters: tuple[Letter, ...], rank: int, bound: int) -> TruncatedSeries:
@@ -246,9 +226,9 @@ class MuCache:
             self._place = _places(None, rank)
         elif len(self._place) != rank + 1:
             raise ValueError("one MuCache cannot serve two ranks")
-        components = _components(self._store, letters, bound, self._place)[: bound + 1]
+        parts = islice(_degrees(letters, self._place), bound + 1)
         # Under the canonical precedence, variable X_g sits at position g - 1.
-        image = {tuple(p + 1 for p in m): c for part in components for m, c in part.items()}
+        image = {tuple(p + 1 for p in m): c for part in parts for m, c in part[-1].items()}
         return TruncatedSeries(rank, bound, image)
 
 
@@ -285,8 +265,7 @@ class MagnusOrder:
         if cap is not None and cap < 1:
             raise ValueError("cap must be positive")
         self.cap = cap
-        self._store: dict[tuple[Letter, ...], Components] = {}
-        self._signs: dict[tuple[Letter, ...], int] = {}
+        self._verdicts: dict[tuple[tuple[Letter, ...], tuple[Letter, ...]], int] = {}
         self._low: dict[tuple[Letter, ...], tuple[int, ...]] = {}
         self._table: CyclicSigns | None = None
 
@@ -309,9 +288,8 @@ class MagnusOrder:
 
         Each word's low degrees decide first (only degree 1 under a cap of 1). The
         order is invariant under multiplication on both sides, so words tied there
-        tie on their stripped sides too: common ends cancel next. A lone remaining
-        side is a subword whose sign against the identity is memoised; two
-        remaining sides are compared degree by degree.
+        tie on their stripped sides too: common ends cancel next. The kernel's
+        verdict on the stripped pair is memoised, a lone side put first.
         """
         low = self._low
         a = low.get(lv) or self._low_degrees(lv)
@@ -326,15 +304,13 @@ class MagnusOrder:
         while tail < n - head and lv[-1 - tail] == lw[-1 - tail]:
             tail += 1
         lv, lw = lv[head : len(lv) - tail], lw[head : len(lw) - tail]
-        if lv and lw:
-            return self._first_difference(lv, lw)
-        u = lv or lw
-        if not u:
+        pair = (lv, lw) if lv else (lw, lv)
+        if not pair[0]:
             return 0
-        sign = self._signs.get(u)
-        if sign is None:
-            sign = self._signs[u] = self._first_difference(u, ())
-        return sign if lv else -sign
+        verdict = self._verdicts.get(pair)
+        if verdict is None:
+            verdict = self._verdicts[pair] = self._first_difference(*pair)
+        return verdict if lv else -verdict
 
     def _low_degrees(self, letters: tuple[Letter, ...]) -> tuple[int, ...]:
         """Components 1 and 2 of the image of letters as one tuple, stored in the memo.
@@ -369,36 +345,23 @@ class MagnusOrder:
         is x_i1^e1 ... x_ik^ek with adjacent generators distinct, its image has
         the coefficient e1*...*ek != 0 at X_i1...X_ik (Magnus 1935), so the
         images of lv and lw differ at degree k or below and only an explicit cap
-        can run out. It is counted only once degree 2 ties too: a tie at degree 1
-        means every exponent sum of lw^-1 * lv is zero, so the word uses at least
-        two generators, each in at least two syllables, and its cap is at least 4.
+        can run out. Reversing lw keeps its generator sequence aligned with
+        lw^-1, and the junction with lv cannot cancel since the first letters differ.
         """
-        cap, place, store = self.cap, self._place, self._store
-        cv = cw = ()
-        degree = 1
-        while True:
-            if len(cv) <= degree:
-                cv = _components(store, lv, degree, place)
-            if len(cw) <= degree:
-                cw = _components(store, lw, degree, place)
-            a, b = cv[degree], cw[degree]
+        cap = self.cap or _syllable_count(lw[::-1] + lv)
+        images = zip(_degrees(lv, self._place), _degrees(lw, self._place))
+        for a, b in islice(images, 1, cap + 1):
+            a, b = a[-1], b[-1]
             if a != b:
                 first, _ = min(a.items() ^ b.items())
                 return 1 if a.get(first, 0) > b.get(first, 0) else -1
-            if cap is None and degree == 2:
-                # Reversing lw keeps its generator sequence aligned with lw^-1, and
-                # the junction with lv cannot cancel since the first letters differ.
-                cap = _syllable_count(lw[::-1] + lv)
-            if cap is not None and degree >= cap:
-                raise UndecidedAtCapError(
-                    f"distinct words compared equal up to the cap of degree {cap} "
-                    f"(lengths {len(lv)} and {len(lw)} without common ends); raise the cap"
-                )
-            degree += 1
+        raise UndecidedAtCapError(
+            f"distinct words compared equal up to the cap of degree {cap} "
+            f"(lengths {len(lv)} and {len(lw)} without common ends); raise the cap"
+        )
 
     def _sign_letters(self, letters: tuple[Letter, ...]) -> int:
-        sign = self._signs.get(letters)
-        return self._compare_letters(letters, ()) if sign is None else sign
+        return self._compare_letters(letters, ())
 
     def _weights(self, base: int) -> list[int]:
         """``base ** (rank - 1 - place[g])`` for each generator g, by repeated multiplication."""

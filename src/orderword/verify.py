@@ -468,6 +468,8 @@ def run_campaign(
     Report content is independent of ``workers``, except the wall-clock
     ``duration_seconds``.
     """
+    if dedup not in ("none", "rotation_class"):
+        raise ValueError(f"unknown dedup mode {dedup!r}")
     if not 1 <= min_length <= max_length:
         raise ValueError("need 1 <= min_length <= max_length")
     if workers < 1:

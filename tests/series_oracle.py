@@ -1,7 +1,7 @@
 """The series image as a product of atom series: the reference for the graded kernel.
 
-The library reads word images from one kernel of homogeneous components,
-``orderword.series._components``. This module keeps the arithmetic that the
+The library reads word images from one kernel that streams their homogeneous
+components, ``orderword.series._degrees``. This module keeps the arithmetic that the
 kernel replaced: each letter's atom series, multiplied out with
 ``orderword.series.mul``. The sympy expansion in ``tests/test_series.py``
 checks this product, and the product checks the kernel, the order and

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -34,7 +35,7 @@ from orderword import (
     rotation_set,
     uniquely_positioned,
 )
-from orderword.series import CyclicSigns, UndecidedAtCapError, _components
+from orderword.series import CyclicSigns, UndecidedAtCapError, _degrees
 from orderword.verify import check_word, enumerate_cyclically_reduced, weinbaum_factorizations
 from orderword.words import _rotation_rows, _sorted_rotations
 from wordgen import all_reduced, random_cyclically_reduced, random_reduced
@@ -244,8 +245,8 @@ def test_key_table_matches_reference_table(rank, top, dedup):
             for n in range(1, top + 1):
                 for w in enumerate_cyclically_reduced(rank, n, dedup=dedup):
                     undecided += _same_table(w, fast, slow)
-            # Only balanced prefixes reached the kernel's sign memo.
-            assert all(_balanced(letters, rank) for letters in fast._signs)
+            # Only balanced prefixes, each a lone side, reached the verdict memo.
+            assert all(_balanced(lv, rank) and not lw for lv, lw in fast._verdicts)
     assert undecided
 
 
@@ -253,11 +254,18 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def _degree2_sign(store, place, lv, lw=()):
-    # The kernel's degree 2 alone: the sign at the first monomial where the
-    # degree-2 components of lv and lw differ, 0 where they agree.
-    a = _components(store, lv, 2, place)[2]
-    b = _components(store, lw, 2, place)[2]
+def _component(place, letters, degree):
+    # Component `degree` of the image of () and of every prefix of letters.
+    return next(itertools.islice(_degrees(letters, place), degree, None))
+
+
+def _degree2_memo(place):
+    # Component 2 of the image of a span, memoised over one sweep.
+    return functools.cache(lambda letters: _component(place, letters, 2)[-1])
+
+
+def _first_sign(a, b):
+    # The sign at the first monomial where two components differ, 0 where they agree.
     if a == b:
         return 0
     first, _ = min(a.items() ^ b.items())
@@ -272,14 +280,14 @@ def test_key2_is_the_degree_2_sign_of_every_span(rank, top):
     # 0 exactly where that component is zero.
     for precedence in itertools.permutations(range(1, rank + 1)):
         cmp = MagnusOrder(rank, precedence=precedence)
-        store = {}
+        degree2 = _degree2_memo(cmp._place)
         for n in range(1, top + 1):
             for w in enumerate_cyclically_reduced(rank, n):
                 table = CyclicSigns(w, cmp)
                 for r, row in enumerate(_rotation_rows(w)):
                     for i in range(n):
                         for j in range(i + 1, n + 1):
-                            want = _degree2_sign(store, cmp._place, row[i:j])
+                            want = _first_sign(degree2(row[i:j]), {})
                             assert _sign(table.key2(r, i, j)) == want, (str(w), r, i, j)
 
 
@@ -289,7 +297,7 @@ def test_key2_decides_balanced_spans_and_key_ties(swap):
     # lengths 2..9: the balanced spans of every row, and every pair of
     # candidate ascents with equal exponent-sum keys.
     cmp = MagnusOrder(2, (2, 1) if swap else None)
-    store, place = {}, cmp._place
+    degree2 = _degree2_memo(cmp._place)
     balanced = ties = 0
     for n in range(2, 10):
         for w in enumerate_cyclically_reduced(2, n, dedup="rotation_class"):
@@ -300,14 +308,14 @@ def test_key2_decides_balanced_spans_and_key_ties(swap):
                     for j in range(i + 1, n + 1):
                         if not table.key(r, i, j):
                             balanced += 1
-                            want = _degree2_sign(store, place, row[i:j])
+                            want = _first_sign(degree2(row[i:j]), {})
                             assert _sign(table.key2(r, i, j)) == want, (str(w), r, i, j)
             spans = [(r, lo, hi) for r, (lo, hi) in enumerate(table.low_peak) if lo < hi]
             for a, b in itertools.combinations(spans, 2):
                 if table.key(*a) == table.key(*b):
                     ties += 1
                     (ra, ia, ja), (rb, ib, jb) = a, b
-                    want = _degree2_sign(store, place, rows[ra][ia:ja], rows[rb][ib:jb])
+                    want = _first_sign(degree2(rows[ra][ia:ja]), degree2(rows[rb][ib:jb]))
                     assert _sign(table.key2(*a) - table.key2(*b)) == want, (str(w), a, b)
     assert balanced and ties
 
@@ -321,9 +329,9 @@ def test_key2_holds_large_coefficients():
         w = P("a" * k + "b" * k + "A" * k + "B" * k + "c", 3)
         table = CyclicSigns(w, cmp)
         for r, row in enumerate(_rotation_rows(w)):
-            store = {}
+            parts = _component(cmp._place, row, 2)
             for l in range(1, len(w) + 1):
-                want = _degree2_sign(store, cmp._place, row[:l])
+                want = _first_sign(parts[l], {})
                 assert _sign(table.key2(r, 0, l)) == want, (k, r, l)
 
 
@@ -484,6 +492,11 @@ def test_generator_outside_the_order_rank_is_refused(audit):
         audit(P("abc", 3), MagnusOrder(2))
 
 
+def _low_parts(place, letters):
+    # Components 1 and 2 of the image of letters.
+    return [_component(place, letters, 1)[-1], _component(place, letters, 2)[-1]]
+
+
 class KernelLog(MagnusOrder):
     """A Magnus order that records every pair its series kernel compares."""
 
@@ -502,22 +515,22 @@ def test_maximal_ascent_sends_only_ties_to_the_kernel(rank, top, swap):
     # The table signs through the kernel only the balanced prefixes whose
     # degree 2 is zero, and the search compares two candidates there only
     # when their exponent-sum and degree-2 keys both tie: every kernel call
-    # has the same components through degree 2 on its two stripped sides,
-    # and the sign memo holds only words whose degrees 1 and 2 vanish.
+    # has the same components through degree 2 on its two stripped sides, so
+    # a lone side in the verdict memo has degrees 1 and 2 zero.
     cmp = KernelLog(rank, tuple(range(rank, 0, -1)) if swap else None)
     for n in range(2, top + 1):
         for w in enumerate_cyclically_reduced(rank, n, dedup="rotation_class"):
             if not is_periodic(w):
                 maximal_ascent(w, cmp)
     assert cmp.calls
-    store, place = {}, cmp._place
+    # Each pair reached the kernel once, and keys its memoised verdict.
+    assert len(cmp.calls) == len(set(cmp.calls)) and set(cmp.calls) == set(cmp._verdicts)
     for lv, lw in cmp.calls:
-        assert _components(store, lv, 2, place)[1:3] == _components(store, lw, 2, place)[1:3]
-    assert all(_components(store, letters, 2, place)[1:3] == [{}, {}] for letters in cmp._signs)
-    # A rank-2 2..9 campaign makes 132 kernel calls (141 swapped), and a
-    # rank-3 2..6 one makes 24; with degree 1 alone they made 1,931, 2,031
-    # and 1,410, and with every candidate comparison in the kernel 5,055
-    # at rank 2.
+        assert _low_parts(cmp._place, lv) == _low_parts(cmp._place, lw)
+    # A rank-2 2..9 campaign makes 76 kernel calls (85 swapped), and a
+    # rank-3 2..6 one makes 22 (26); without the verdict memo they made 94,
+    # 104, 24 and 29, with degree 1 alone 1,931, 2,031 and 1,410 (canonical
+    # rank 3), and with every candidate comparison in the kernel 5,055 at rank 2.
     assert len(cmp.calls) <= (200 if rank == 2 else 50)
 
 
@@ -530,15 +543,33 @@ def test_compare_sends_only_degree_two_ties_to_the_kernel(swap):
     words = [w for n in range(0, 5) for w in all_reduced(2, n)]
     for v, w in itertools.product(words, repeat=2):
         cmp.compare(v, w)
-    assert cmp.calls
-    store, place = {}, cmp._place
+    assert cmp.calls and len(cmp.calls) == len(set(cmp.calls))
     for lv, lw in cmp.calls:
-        assert _components(store, lv, 2, place)[1:3] == _components(store, lw, 2, place)[1:3]
-    # Pairs that differ through degree 2 never reach the component store.
+        assert _low_parts(cmp._place, lv) == _low_parts(cmp._place, lw)
+    # Pairs that differ through degree 2 never reach the verdict memo.
     for v, w in ((P("a"), P("b")), (P("ab"), P("ba"))):
         order = MagnusOrder(2, precedence)
         assert order.compare(v, w) is not Ordering.EQUAL
-        assert order._store == {}
+        assert order._verdicts == {}
+
+
+def test_a_tied_pair_reaches_the_kernel_once():
+    # aBAb and AbaB agree through degree 2 and share no end.
+    cmp = KernelLog(2)
+    v, w = P("aBAb"), P("AbaB")
+    assert cmp._low_degrees(v.letters) == cmp._low_degrees(w.letters)
+    assert [cmp.compare(v, w) for _ in range(2)] == [Ordering.LESS, Ordering.LESS]
+    assert cmp.calls == [(v.letters, w.letters)]
+
+
+def test_a_sign_and_its_comparison_with_the_identity_share_one_verdict():
+    # c_3 = [[a, b], b] is tied with the identity through degree 2.
+    cmp = KernelLog(2)
+    u = concat(P("abAB"), P("b"), inverse(P("abAB")), P("B"))
+    sign = cmp.sign(u)
+    assert sign in (1, -1)
+    assert cmp.compare(identity(2), u) is (Ordering.LESS if sign > 0 else Ordering.GREATER)
+    assert cmp.calls == [(u.letters, ())]
 
 
 def test_bruteforce_and_peaklow_agree_small(order, swapped):

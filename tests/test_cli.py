@@ -100,6 +100,17 @@ def test_compare_reports_cap_exhaustion_as_anomaly_exit(capsys):
     assert err.startswith("anomaly:")
 
 
+@pytest.mark.parametrize("words", [("a", "aabAB"), ("aabAB", "a")], ids=["lone-right", "lone-left"])
+def test_compare_names_a_lone_side_first_at_the_cap(capsys, words):
+    # Stripping a leaves abAB against the empty word, in either argument order.
+    code, out, err = run(capsys, "compare", *words, "--cap", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "anomaly: distinct words compared equal up to the cap of degree 1 "
+        "(lengths 4 and 0 without common ends); raise the cap\n"
+    )
+
+
 def test_compare_two_nonempty_sides(capsys):
     code, out, err = run(capsys, "compare", "ab", "ba")
     assert (code, out, err) == (0, "ab > ba\n", "")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations, groupby, islice, permutations, product
 from pathlib import Path
 
 import pytest
@@ -29,7 +29,7 @@ from orderword import (
     parse_word,
     series_text,
 )
-from orderword.series import _components, _places
+from orderword.series import _degrees, _places
 from wordgen import all_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
@@ -369,18 +369,26 @@ def test_undecided_at_cap_is_loud():
 
 
 @pytest.mark.parametrize("precedence", [None, (2, 1)], ids=["canonical", "swapped"])
-def test_commutators_decide_at_their_weight(precedence):
+def test_commutators_decide_at_their_weight(precedence, monkeypatch):
     # The left-normed commutator c_k = [c_(k-1), b], c_1 = a, lies in the k-th
     # term of the lower central series and not in the next, so its image is
     # 1 + (a nonzero degree-k part) + higher terms (Magnus 1935).
+    streamed = []
+
+    def logged(letters, place):
+        for parts in _degrees(letters, place):
+            streamed.append((letters, parts[-1]))
+            yield parts
+
+    monkeypatch.setattr("orderword.series._degrees", logged)
     c = P("a")
     for k in range(1, 8):
         if k > 1:
             c = concat(c, P("b"), inverse(c), P("B"))
-        order = MagnusOrder(2, precedence)
-        assert order._first_difference(c.letters, ()) in (1, -1)
-        components = order._store[c.letters]
-        assert len(components) == k + 1, k  # grown through degree k, no further
+        streamed.clear()
+        assert MagnusOrder(2, precedence)._first_difference(c.letters, ()) in (1, -1)
+        components = [part for letters, part in streamed if letters == c.letters]
+        assert len(components) == k + 1, k  # streamed through degree k, no further
         assert not any(components[1:k]) and components[k], k
         if k > 1:
             with pytest.raises(UndecidedAtCapError):
@@ -433,20 +441,24 @@ def _homogeneous_parts(image: TruncatedSeries, place: tuple[int, ...], degree: i
 
 
 @pytest.mark.parametrize("rank, top", [(2, 6), (3, 4)])
-def test_stored_components_are_homogeneous_parts_of_mu(rank, top):
-    # Every component in the store, the prefixes' included, is the matching
-    # degree of the reference image, with variables written as positions.
+def test_streamed_components_are_homogeneous_parts_of_mu(rank, top):
+    # Each word's components through degree top, once all are streamed, are
+    # the matching degrees of the reference image, with variables written as
+    # positions; the prefixes' components are those streamed for the prefix.
     words = [w for n in range(0, top + 1) for w in all_reduced(rank, n)]
-    images = {w.letters: oracle.mu(w, top) for w in words}
+    images = {w: oracle.mu(w, top) for w in words}
     for precedence in permutations(range(1, rank + 1)):
         place = _places(precedence, rank)
-        store = {}
+        streamed = {}
         for w in words:
-            syllables = len(list(groupby(l.generator for l in w.letters)))
-            assert len(_components(store, w.letters, syllables, place)) > syllables
-        assert len(store) == len(words)
-        for letters, entry in store.items():
-            assert entry == _homogeneous_parts(images[letters], place, len(entry) - 1)
+            parts = streamed[w.letters] = list(islice(_degrees(w.letters, place), top + 1))
+            assert all(len(part) == len(w) + 1 for part in parts), str(w)
+            assert [part[-1] for part in parts] == _homogeneous_parts(images[w], place, top)
+            if w.letters:
+                assert [part[:-1] for part in parts] == streamed[w.letters[:-1]], str(w)
+    # Letters are checked before any degree is streamed.
+    with pytest.raises(ValueError, match=f"^generator {rank + 1} outside rank {rank}$"):
+        next(_degrees((Letter(1, 1), Letter(rank + 1, -1)), place))
 
 
 # ---------------------------------------------------------------- caching
@@ -458,7 +470,7 @@ def test_mu_cache_matches_direct_mu():
         w = random_reduced(rng, rng.randint(0, 9))
         bound = rng.randint(1, 5)
         assert cache.mu_of(w.letters, 2, bound).coefficients == oracle.mu(w, bound).coefficients
-    # Repeat lookups, and lower bounds of stored words, read the same store.
+    # Repeat lookups, and lower bounds of a word already read, give the same images.
     w = P("abAB")
     for bound in (4, 4, 2, 0):
         assert cache.mu_of(w.letters, 2, bound) == oracle.mu(w, bound)

@@ -1,6 +1,7 @@
 """Every name a library module, test or demo imports is used there, or marked as kept.
 
-Every private module-level name of the library is also used somewhere in it.
+Every private module-level name, private method and private ``self`` attribute of
+the library is also read somewhere in it.
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ def test_guard_sees_an_unused_import(tmp_path):
 
 
 def _unused_private_names(paths: list[Path]) -> list[str]:
-    """Module-level ``_``-prefixed functions, classes and constants that no file names.
+    """The ``_``-prefixed names, dunders aside, that no file in ``paths`` reads.
 
-    A name counts as used when some file in ``paths`` reads it, as a plain
-    name or as an attribute; its definition and imports of it do not count.
+    Checked are module-level functions, classes and constants, the methods of
+    module-level classes, and attributes stored on ``self``. A name counts as
+    used when some file reads it, as a plain name or as an attribute; its
+    definition, stores to it and imports of it do not count.
     """
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
     used = set()
@@ -71,7 +74,11 @@ def _unused_private_names(paths: list[Path]) -> list[str]:
                 used.add(node.attr)
     unused = []
     for path, tree in trees.items():
+        defined = []  # (line, label, name)
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+                defined += [(n.lineno, f"{node.name}.{n.name}", n.name) for n in methods]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, ast.Assign):
@@ -80,11 +87,20 @@ def _unused_private_names(paths: list[Path]) -> list[str]:
                 names = [node.target.id]
             else:
                 continue
-            unused += [
-                f"{path.name}:{node.lineno}: {name}"
-                for name in names
-                if name.startswith("_") and not name.startswith("__") and name not in used
-            ]
+            defined += [(node.lineno, name, name) for name in names]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                defined.append((node.lineno, f"self.{node.attr}", node.attr))
+        unused += [
+            f"{path.name}:{line}: {label}"
+            for line, label, name in sorted(defined)
+            if name.startswith("_") and not name.startswith("__") and name not in used
+        ]
     return unused
 
 
@@ -103,7 +119,14 @@ def test_guard_sees_an_unused_private_name(tmp_path):
         "def _orphan():\n"
         "    _orphan_local = 1\n"
         "class _Shape:\n"
-        "    pass\n",
+        "    pass\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self._kept, self._left = 1, {}\n"
+        "    def _read(self):\n"
+        "        return self._kept\n"
+        "    def _spare(self):\n"
+        "        return self._read()\n",
         encoding="utf-8",
     )
     user.write_text(
@@ -112,4 +135,9 @@ def test_guard_sees_an_unused_private_name(tmp_path):
         "print(_helper(1), sample._Shape)\n",
         encoding="utf-8",
     )
-    assert _unused_private_names([sample, user]) == ["sample.py:2: _spare", "sample.py:6: _orphan"]
+    assert _unused_private_names([sample, user]) == [
+        "sample.py:2: _spare",
+        "sample.py:6: _orphan",
+        "sample.py:12: self._left",
+        "sample.py:15: Box._spare",
+    ]

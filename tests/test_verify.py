@@ -450,6 +450,18 @@ def test_campaign_validation():
         run_campaign(2, 2, 3, cap=0)
 
 
+@pytest.mark.parametrize("lengths", [(1, 1), (2, 3)], ids=["nothing-enumerated", "enumerated"])
+def test_campaign_refuses_an_unknown_dedup_mode_first(monkeypatch, lengths):
+    # Below length 2 nothing is enumerated, so the enumerator's own check
+    # never runs: the campaign checks the mode before anything else.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumerated before refusing the dedup mode")
+
+    monkeypatch.setattr(verify, "enumerate_cyclically_reduced", unreachable)
+    with pytest.raises(ValueError, match="^unknown dedup mode 'bogus'$"):
+        run_campaign(2, *lengths, dedup="bogus")
+
+
 @pytest.mark.parametrize(
     "where, error",
     [("missing/r.json", FileNotFoundError), (".", IsADirectoryError), ("", FileNotFoundError)],
