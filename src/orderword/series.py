@@ -216,17 +216,10 @@ def _degrees(letters: tuple[Letter, ...], place: tuple[int, ...]) -> Iterator[li
 
 
 class MuCache:
-    """Word images of one rank, each read from :func:`_degrees` through its bound."""
-
-    def __init__(self) -> None:
-        self._place: tuple[int, ...] | None = None
+    """Word images of any rank, each read from :func:`_degrees` through its bound; none kept."""
 
     def mu_of(self, letters: tuple[Letter, ...], rank: int, bound: int) -> TruncatedSeries:
-        if self._place is None:
-            self._place = _places(None, rank)
-        elif len(self._place) != rank + 1:
-            raise ValueError("one MuCache cannot serve two ranks")
-        parts = islice(_degrees(letters, self._place), bound + 1)
+        parts = islice(_degrees(letters, _places(None, rank)), bound + 1)
         # Under the canonical precedence, variable X_g sits at position g - 1.
         image = {tuple(p + 1 for p in m): c for part in parts for m, c in part[-1].items()}
         return TruncatedSeries(rank, bound, image)
@@ -294,7 +287,7 @@ class MagnusOrder:
         low = self._low
         a = low.get(lv) or self._low_degrees(lv)
         b = low.get(lw) or self._low_degrees(lw)
-        if a != b and (self.cap != 1 or a[: self.rank] != b[: self.rank]):
+        if a != b:
             return 1 if a > b else -1
         n = min(len(lv), len(lw))
         head = 0
@@ -318,7 +311,8 @@ class MagnusOrder:
         At rank r, entry p is the exponent sum e_p of the variable at place p and
         entry r + rp + q the coefficient of X_p X_q, p and q places, so tuple order
         is the order through degree 2. Appending x_p adds e_q X_q X_p for each q;
-        appending x_p^-1 subtracts them and adds X_p X_p.
+        appending x_p^-1 subtracts them and adds X_p X_p. Under a cap of 1 degree 2
+        may not decide, so only the first r entries are stored.
         """
         r, place = self.rank, self._place
         low = [0] * (r + r * r)
@@ -330,7 +324,7 @@ class MagnusOrder:
                 low[r + r * q + p] += sign * low[q]
             low[r + r * p + p] += sign < 0
             low[p] += sign
-        low = self._low[letters] = tuple(low)
+        low = self._low[letters] = tuple(low[: r if self.cap == 1 else None])
         return low
 
     def _first_difference(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
@@ -370,39 +364,31 @@ class MagnusOrder:
             powers.append(powers[-1] * base)
         return [powers[self.rank - 1 - p] for p in self._place]
 
-    def _prefix_keys(self, letters: tuple[Letter, ...]) -> list[int]:
-        """``[0]`` and then the exponent-sum key of every nonempty prefix of letters.
+    def _prefix_keys(self, letters: tuple[Letter, ...]) -> tuple[list[int], list[int], list[int]]:
+        """``(K, A, Q)``: the keys of degrees 1 and 2 of ``()`` and of each prefix of letters.
 
-        Degree 1 of a word's image is its exponent-sum vector (Magnus 1935). A
-        key holds the vector in mixed radix, places in precedence order, radix
-        L^2 + 1 for L letters: the sign of key j minus key i is the degree-1
-        sign of letters[i:j], so its sign unless that span is balanced.
-        """
-        weight = self._weights(len(letters) ** 2 + 1)
-        key, out, top = 0, [0], self.rank
-        for generator, sign in letters:
-            if generator > top:
-                raise ValueError(f"generator {generator} outside rank {self.rank}")
-            key += sign * weight[generator]
-            out.append(key)
-        return out
-
-    def _pair_keys(self, letters: tuple[Letter, ...]) -> tuple[list[int], list[int]]:
-        """``(A, Q)``: the exponent sums and degree-2 component of ``()`` and each prefix.
-
-        In the radix R of :meth:`_prefix_keys`, A holds e_p at R^(r(r - 1 - p)),
-        and Q the coefficient of X_p X_q at R^(r^2 - 1 - rp - q). Appending x_q
-        adds e X_q to degree 2; appending x_q^-1 subtracts it and adds X_q^2.
+        Degree 1 of a word's image is its exponent-sum vector (Magnus 1935). K
+        holds it in mixed radix, places in precedence order, radix R = L^2 + 1
+        for L letters: the sign of K[j] - K[i] is the degree-1 sign of
+        letters[i:j], so its sign unless that span is balanced. A holds e_p at
+        R^(r(r - 1 - p)), and Q the coefficient of X_p X_q at R^(r^2 - 1 - rp - q).
+        Appending x_q adds e X_q to degree 2; appending x_q^-1 subtracts it and
+        adds X_q^2. Under a cap of 1 degree 2 may not decide, so A and Q are 0.
         """
         radix = len(letters) ** 2 + 1
-        weight, lift = self._weights(radix), self._weights(radix**self.rank)
-        a, q, sums, pairs = 0, 0, [0], [0]
+        weight = self._weights(radix)
+        lift = [0] * len(weight) if self.cap == 1 else self._weights(radix**self.rank)
+        k, a, q, keys, sums, pairs = 0, 0, 0, [0], [0], [0]
         for generator, sign in letters:
+            if generator > self.rank:
+                raise ValueError(f"generator {generator} outside rank {self.rank}")
             q += (a if sign > 0 else lift[generator] - a) * weight[generator]
             a += sign * lift[generator]
+            k += sign * weight[generator]
+            keys.append(k)
             sums.append(a)
             pairs.append(q)
-        return sums, pairs
+        return keys, sums, pairs
 
     def _cyclic_signs(self, w: Word) -> CyclicSigns:
         """The sign table of w, kept until a table of another word is asked for."""
@@ -445,9 +431,8 @@ class CyclicSigns:
         self.word, self.n, self._order = w, len(w), ref(order)
         self._text, self._sorted, self._lcp, self.unique_from = _sorted_rotations(w)
         n = self.n
-        keys = self._keys = order._prefix_keys(self._text[: 2 * n])
-        # Pair keys are built on first use; under a cap of 1 there are none.
-        self._pairs = () if order.cap is not None and order.cap < 2 else None
+        self._keys, self._sums, self._q = order._prefix_keys(self._text[: 2 * n])
+        keys = self._keys
         if order.cap is not None:
             # A cap raises where signing each prefix of the rows of w would, in that order.
             for s, j in ((s, j) for s in range(n) for j in range(s + 1, s + n + 1)):
@@ -494,11 +479,7 @@ class CyclicSigns:
         u = [x, y) of W·W is Q[y] - Q[x] - e(x)e(u), and that of u^-1 is e(u)e(u)
         minus u's. No coefficient of at most n letters reaches R / 4.
         """
-        if self._pairs is None:
-            self._pairs = self._order()._pair_keys(self._text[: 2 * self.n])
-        if not self._pairs:  # a cap of 1
-            return 0
-        (sums, q), keys, n = self._pairs, self._keys, self.n
+        sums, q, keys, n = self._sums, self._q, self._keys, self.n
         if r < n:
             return q[r + j] - q[r + i] - sums[r + i] * (keys[r + j] - keys[r + i])
         t = -r % n + n
@@ -506,10 +487,9 @@ class CyclicSigns:
 
     def sign(self, r: int, l: int) -> int:
         """The sign of the length-l prefix of row r: span [i, j) of W·W, or its inverse."""
-        keys, n = self._keys, self.n
+        n = self.n
         i, j, want = (r, r + l, 1) if r < n else (-r % n + n - l, -r % n + n, -1)
-        key = keys[j] - keys[i]
-        return want * ((key > 0) - (key < 0) if key else self._span(i, j))
+        return want * self._span(i, j)
 
     def letters(self, r: int, i: int, j: int) -> tuple[Letter, ...]:
         """The letters of span [i, j) of row r."""

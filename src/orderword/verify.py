@@ -316,13 +316,14 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
     ascent, descent = dec.ascent, dec.descent
     a_letters, size = ascent.letters, len(ascent)
 
-    # The maximal ascent must be an ascent, and a prefix of exactly one rotation.
-    chosen_row = table.starts(dec.chosen.letters)[0]
+    # The maximal ascent must be an ascent, and a prefix of exactly one rotation. decompose
+    # chose the first row that starts with it, as a nonperiodic word's 2n rows are distinct.
+    a_starts = table.starts(a_letters)
+    chosen_row = a_starts[0]
     if not table.is_ascent(chosen_row, size):
         anomalies.append(
             Anomaly("maximal_ascent_not_ascent", f"{ascent} is not an ascent of {dec.chosen}")
         )
-    a_starts = table.starts(a_letters)
     ascent_unique = len(a_starts) == 1
     if not ascent_unique:
         anomalies.append(

@@ -336,12 +336,15 @@ def test_key2_holds_large_coefficients():
 
 
 def test_key2_is_off_under_a_cap_of_one():
-    # A cap of 1 stops the kernel at degree 1, so no degree-2 key decides.
+    # A cap of 1 stops the kernel at degree 1: no key2 decides, nor ab against ba.
     w = P("aab")
     capped, order = MagnusOrder(2, cap=1), MagnusOrder(2, cap=2)
     spans = [(r, i, j) for r in range(6) for i in range(3) for j in range(i + 1, 4)]
     assert CyclicSigns(w, order).key2(0, 0, 3) > 0
     assert not any(CyclicSigns(w, capped).key2(*span) for span in spans)
+    assert order.compare(P("ab"), P("ba")) is Ordering.GREATER
+    with pytest.raises(UndecidedAtCapError, match=r"cap of degree 1 \(lengths 2 and 2"):
+        capped.compare(P("ab"), P("ba"))
 
 
 @pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])

@@ -476,14 +476,13 @@ def test_mu_cache_matches_direct_mu():
         assert cache.mu_of(w.letters, 2, bound) == oracle.mu(w, bound)
 
 
-def test_mu_cache_serves_one_rank():
-    cache = MuCache()
-    cache.mu_of(P("ab").letters, 2, 2)
-    with pytest.raises(ValueError):
-        cache.mu_of(parse_word("abc", 3).letters, 3, 2)
-    # Letters that both ranks have, too.
-    with pytest.raises(ValueError, match="two ranks"):
-        cache.mu_of(P("ab").letters, 3, 2)
+def test_mu_cache_serves_any_rank():
+    # A MuCache keeps nothing: it serves two ranks, and refuses a letter outside one.
+    cache, w = MuCache(), parse_word("abC", 3)
+    assert cache.mu_of(P("ab").letters, 2, 2) == oracle.mu(P("ab"), 2)
+    assert cache.mu_of(w.letters, 3, 3) == oracle.mu(w, 3)
+    with pytest.raises(ValueError, match="^generator 3 outside rank 2$"):
+        cache.mu_of(w.letters, 2, 2)
 
 
 # ---------------------------------------------------------------- one product
@@ -506,7 +505,7 @@ def test_series_text_matches_reference_product(rank, top, degrees):
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["canonical", "reversed"])
-def test_prefix_and_pair_keys_equal_one_power_per_place(reverse):
+def test_prefix_keys_equal_one_power_per_place(reverse):
     # The weights are built by repeated multiplication; the keys must be the
     # integers of one power per place, at every text rank, for a word that
     # uses every generator, under both extremes of precedence.
@@ -525,8 +524,7 @@ def test_prefix_and_pair_keys_equal_one_power_per_place(reverse):
             a += sign * lift[g]
             sums.append(a)
             pairs.append(q)
-        assert cmp._prefix_keys(letters) == keys, rank
-        assert cmp._pair_keys(letters) == (sums, pairs), rank
+        assert cmp._prefix_keys(letters) == (keys, sums, pairs), rank
 
 
 @pytest.mark.parametrize(
@@ -569,3 +567,31 @@ def test_no_module_imports_private_series_names():
                     if alias.name.startswith("_")
                 ]
     assert imported == []
+
+
+@pytest.mark.parametrize(
+    "module, scope, receivers, members",
+    [
+        (
+            "series.py",
+            "CyclicSigns",
+            ("order", "self._order()"),
+            {"_prefix_keys", "cap", "_sign_letters"},
+        ),
+        ("analysis.py", None, ("cmp",), {"_cyclic_signs", "_compare_letters", "_sign_letters"}),
+        ("verify.py", None, ("cmp",), {"_cyclic_signs", "rank", "precedence", "description"}),
+    ],
+    ids=["sign-table", "analysis", "verify"],
+)
+def test_each_module_reads_named_members_of_its_order(module, scope, receivers, members):
+    # The surface through which the sign table, the analysis and the audits
+    # reach their order: a member joins it here on purpose, not by accident.
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    if scope:
+        tree = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == scope)
+    reads = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in receivers
+    }
+    assert reads == members

@@ -293,9 +293,8 @@ def test_check_word_clean_through_length_five(order):
 
 
 def test_check_word_scans_each_pattern_once(monkeypatch):
-    # decompose places A, and check_word places the chosen rotation, A's
-    # copies and D's. Whether D is uniquely positioned, and the Weinbaum
-    # count, are read from the table's unique_from instead of another scan.
+    # decompose places A; check_word places A's copies, the first of which
+    # starts the chosen rotation, and D's. unique_from answers the rest.
     calls = []
     starts = CyclicSigns.starts
 
@@ -311,7 +310,7 @@ def test_check_word_scans_each_pattern_once(monkeypatch):
                     continue
                 calls.clear()
                 report = check_word(w, cmp)
-                assert len(calls) == (3 if report.descent_status == "empty" else 4), str(w)
+                assert len(calls) == (2 if report.descent_status == "empty" else 3), str(w)
 
 
 def test_anomaly_and_report_shapes():
