@@ -8,7 +8,7 @@ that ascent to the front splits the word into ascent * descent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .series import MagnusOrder
 from .words import NotCyclicallyReducedError, Word, is_periodic
@@ -137,8 +137,7 @@ def maximal_ascent(w: Word, cmp: MagnusOrder) -> Word:
     return Word(best, w.rank)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A word rotated so its maximal ascent is the prefix: chosen = ascent * descent."""
 
     source: Word

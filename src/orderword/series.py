@@ -17,12 +17,12 @@ audit reads.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import Iterator
+from weakref import ref
 
-from .words import FROM_INVERSE, FROM_WORD, Letter, Rotation, Word, _sorted_rotations
+from .words import FROM_INVERSE, FROM_WORD, Letter, Rotation, Word, _Record, _sorted_rotations
 
 # A monomial is the tuple of variable indices read left to right:
 # () is the constant term, (1, 2) is X1*X2, (2, 2) is X2^2.
@@ -41,8 +41,7 @@ class UndecidedAtCapError(RuntimeError):
     """Two distinct words still compared equal at the truncation cap."""
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """An exact-integer series over noncommuting X_1..X_rank, cut at degree_bound.
 
     ``coefficients`` maps monomials to nonzero ints; omitted monomials are zero.
@@ -51,11 +50,12 @@ class TruncatedSeries:
         TruncatedSeries(2, 1, {(): 1, (1,): 1, (2,): -1})
     """
 
-    rank: int
-    degree_bound: int
-    coefficients: dict[Monomial, int]
+    __slots__ = ("rank", "degree_bound", "coefficients")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rank: int, degree_bound: int, coefficients: dict[Monomial, int]) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree_bound", degree_bound)
+        object.__setattr__(self, "coefficients", coefficients)
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if self.degree_bound < 0:
@@ -426,8 +426,6 @@ class CyclicSigns:
     """
 
     def __init__(self, w: Word, order: MagnusOrder) -> None:
-        from weakref import ref  # loaded at start-up by the modules orderword imports
-
         self.word, self.n, self._order = w, len(w), ref(order)
         self._text, self._sorted, self._lcp, self.unique_from = _sorted_rotations(w)
         n = self.n

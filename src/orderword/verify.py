@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass
 from math import gcd
-from typing import Iterator
+from types import SimpleNamespace
+from typing import Iterator, NamedTuple
 
 # check_word reads peaks and lows from the sign table, not from
 # prefix_profile; the name stays bound here for perfbench's self-check.
@@ -40,8 +40,7 @@ from .words import (
 REPORT_SCHEMA = "orderword-report-1"
 
 
-@dataclass(frozen=True)
-class Anomaly:
+class Anomaly(NamedTuple):
     """One labeled violation of a checked claim."""
 
     label: str
@@ -51,9 +50,8 @@ class Anomaly:
         return {"label": self.label, "detail": self.detail}
 
 
-@dataclass
-class WordReport:
-    """Everything check_word established about one word."""
+class WordReport(SimpleNamespace):
+    """Everything check_word established about one word, built by keyword."""
 
     word: Word
     decomposition: Decomposition | None
@@ -391,8 +389,7 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
     )
 
 
-@dataclass
-class CampaignReport:
+class CampaignReport(NamedTuple):
     """Aggregated, deterministic outcome of checking one length range."""
 
     schema_version: str
@@ -414,7 +411,7 @@ class CampaignReport:
     count_mismatch: dict[str, list[int]] | None = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None or k != "count_mismatch"}
+        return {k: v for k, v in self._asdict().items() if v is not None or k != "count_mismatch"}
 
 
 def write_report(report: CampaignReport, path: str) -> None:

@@ -7,7 +7,7 @@ inverses, and the empty word is the group identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 FROM_WORD = "fromW"
@@ -30,19 +30,52 @@ class Letter(NamedTuple):
         return Letter(self.generator, -self.sign)
 
 
-@dataclass(frozen=True)
-class Word:
+class _Record:
+    """Value semantics for a slotted class whose ``__init__`` sets each slot once.
+
+    A record equals only a record of its own class with equal fields, refuses
+    assignment, and pickles and copies by rebuilding through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = property(attrgetter(*cls.__slots__))  # the fields, in slot order
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{self.__class__.__name__}({', '.join(fields)})"
+
+
+class Word(_Record):
     """A freely reduced word of a given alphabet rank.
 
     Instances are only ever reduced; build unreduced letter sequences with
     :func:`reduce`. Slicing yields sub-Words of the same rank.
     """
 
-    letters: tuple[Letter, ...]
-    rank: int
+    __slots__ = ("letters", "rank")
+
+    def __init__(self, letters: Iterable[Letter], rank: int) -> None:
+        object.__setattr__(self, "letters", tuple(letters))
+        object.__setattr__(self, "rank", rank)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
+        """Refuse a bad rank, letter or inverse pair; ``__init__`` calls this once."""
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
         prev: Letter | None = None
@@ -56,6 +89,9 @@ class Word:
             if prev is not None and prev.generator == letter.generator and prev.sign != letter.sign:
                 raise ValueError("word is not freely reduced; use reduce()")
             prev = letter
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.rank))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -207,7 +206,9 @@ def test_verify_prints_each_anomaly_and_exits_three(capsys, monkeypatch):
     real = cli.check_word
 
     def flagged(w, cmp):
-        return replace(real(w, cmp), anomalies=[Anomaly("first", "one"), Anomaly("second", "two")])
+        report = real(w, cmp)
+        report.anomalies = [Anomaly("first", "one"), Anomaly("second", "two")]
+        return report
 
     monkeypatch.setattr(cli, "check_word", flagged)
     code, out, err = run(capsys, "verify", "abAB")
@@ -490,6 +491,23 @@ def test_runs_import_only_the_modules_they_use():
     verified, serial, pooled = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert verified == serial == []
     assert "concurrent.futures" in pooled
+
+
+def test_importing_orderword_generates_no_classes():
+    # The records are written out by hand: dataclasses would load these
+    # modules and build each record's methods at import time.
+    probe = (
+        "import sys; before = set(sys.modules); import orderword, orderword.cli; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "orderword.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
 
 
 def test_unknown_command_is_a_parser_error(capsys):
