@@ -8,7 +8,7 @@ import sys
 
 from .analysis import AscentPlacementError, InvariantViolationError, MagnusOrder, decompose
 from .series import UndecidedAtCapError, mu, series_text
-from .verify import _weinbaum_cuts, check_word, run_campaign
+from .verify import _DEDUP_MODES, _weinbaum_cuts, check_word, run_campaign
 from .words import _MAX_TEXT_GENERATORS, parse_word
 
 # Largest number of monomials, sum of rank**d over d <= degree, that
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument(
         "--dedup",
-        choices=("none", "rotation_class"),
+        choices=_DEDUP_MODES,
         default="rotation_class",
         help="enumerate all words or one per rotation class (default)",
     )

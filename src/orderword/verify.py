@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
+from itertools import chain, islice
 from math import gcd
 from types import SimpleNamespace
 from typing import Iterator, NamedTuple
@@ -38,6 +40,7 @@ from .words import (
 )
 
 REPORT_SCHEMA = "orderword-report-1"
+_DEDUP_MODES = ("none", "rotation_class")  # every word, or one per rotation class
 
 
 class Anomaly(NamedTuple):
@@ -99,6 +102,11 @@ def canonical_representative(w: Word) -> Word:
     return min(rotation_set(w), key=lambda e: _letters_key(e.word.letters)).word
 
 
+def _require_dedup(dedup: str) -> None:
+    if dedup not in _DEDUP_MODES:
+        raise ValueError(f"unknown dedup mode {dedup!r}")
+
+
 def enumerate_cyclically_reduced(rank: int, length: int, dedup: str = "none") -> Iterator[Word]:
     """Yield all cyclically reduced words of one length in lexicographic order.
 
@@ -107,8 +115,7 @@ def enumerate_cyclically_reduced(rank: int, length: int, dedup: str = "none") ->
     They are generated directly as necklaces, with no filtering of the other
     words (see :func:`_rotation_class_codes`).
     """
-    if dedup not in ("none", "rotation_class"):
-        raise ValueError(f"unknown dedup mode {dedup!r}")
+    _require_dedup(dedup)
     if rank < 1 or length < 1:
         raise ValueError("rank and length must be positive")
     # Letter code c = 2 * (generator - 1) + (sign < 0) follows _letters_key,
@@ -422,22 +429,22 @@ def write_report(report: CampaignReport, path: str) -> None:
         handle.write("\n")
 
 
-def _summary(report: WordReport) -> tuple:
-    dec = report.decomposition
-    return (
-        len(report.word),
-        None if dec is None else len(dec.descent),
-        report.weinbaum_count,
-        report.to_dict() if report.anomalies else None,
-        len(report.anomalies),
-    )
+def _campaign_part(args: tuple[int, range, str, MagnusOrder, int, int]) -> tuple:
+    """Check every word at enumeration index k = part (mod parts), and fold the tallies.
 
-
-def _campaign_chunk(args: tuple[list[tuple[Letter, ...]], MagnusOrder]) -> list[tuple]:
-    letters_list, cmp = args
-    out = []
-    for letters in letters_list:
-        w = Word(letters, cmp.rank)
+    Returns words per length, the descent-ratio histogram, the least Weinbaum count (None
+    if no word was checked) and the counterexamples as (k, report dict).
+    """
+    rank, lengths, dedup, cmp, part, parts = args
+    by_length: Counter[str] = Counter()
+    histogram: Counter[str] = Counter()
+    weinbaum_min: int | None = None
+    counterexamples: list[tuple[int, dict]] = []
+    # The enumerator and check_word are read from the module globals, which perfbench patches.
+    words = chain.from_iterable(enumerate_cyclically_reduced(rank, n, dedup) for n in lengths)
+    for k, w in islice(enumerate(words), part, None, parts):
+        if is_periodic(w):
+            continue
         try:
             report = check_word(w, cmp)
         except UndecidedAtCapError as exc:
@@ -446,8 +453,17 @@ def _campaign_chunk(args: tuple[list[tuple[Letter, ...]], MagnusOrder]) -> list[
             if hasattr(exc, "add_note"):  # Python 3.11+
                 exc.add_note(f"while checking {w}")
             raise
-        out.append(_summary(report))
-    return out
+        length = len(w)
+        by_length[str(length)] += 1
+        if report.decomposition is not None:
+            descent_len = len(report.decomposition.descent)
+            g = gcd(descent_len, length)  # the ratio in lowest terms, as str(Fraction) writes it
+            histogram[f"{descent_len // g}/{length // g}".removesuffix("/1")] += 1
+        if weinbaum_min is None or report.weinbaum_count < weinbaum_min:
+            weinbaum_min = report.weinbaum_count
+        if report.anomalies:
+            counterexamples.append((k, report.to_dict()))
+    return by_length, histogram, weinbaum_min, counterexamples
 
 
 def run_campaign(
@@ -466,8 +482,7 @@ def run_campaign(
     Report content is independent of ``workers``, except the wall-clock
     ``duration_seconds``.
     """
-    if dedup not in ("none", "rotation_class"):
-        raise ValueError(f"unknown dedup mode {dedup!r}")
+    _require_dedup(dedup)
     if not 1 <= min_length <= max_length:
         raise ValueError("need 1 <= min_length <= max_length")
     if workers < 1:
@@ -482,50 +497,25 @@ def run_campaign(
     cmp = MagnusOrder(rank, precedence=precedence, cap=cap)
 
     started = time.perf_counter()
-    todo: list[tuple[Letter, ...]] = []
-    by_length: dict[str, int] = {}
     count_of = rotation_class_count if dedup == "rotation_class" else nonperiodic_count
     lengths = range(max(2, min_length), max_length + 1)
     closed_form = {str(length): count_of(rank, length) for length in lengths}
-    for length in lengths:
-        count = 0
-        for w in enumerate_cyclically_reduced(rank, length, dedup=dedup):
-            if is_periodic(w):
-                continue
-            todo.append(w.letters)
-            count += 1
-        by_length[str(length)] = count
-
-    if workers == 1 or len(todo) < 2 * workers:
-        summaries = _campaign_chunk((todo, cmp))
+    # A serial campaign is part 0 of 1. cmp is still cold here, so each pool part gets a
+    # copy with empty caches.
+    if workers == 1 or sum(closed_form.values()) < 2 * workers:
+        parts = [_campaign_part((rank, lengths, dedup, cmp, 0, 1))]
     else:
         # Imported here: the pool's module tree is a third of the package's import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk_count = workers * 4
-        size = -(-len(todo) // chunk_count)
-        # cmp is still cold here, so each chunk gets a copy with empty caches.
-        chunks = [(todo[i : i + size], cmp) for i in range(0, len(todo), size)]
-        summaries = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_campaign_chunk, chunks):
-                summaries.extend(part)
+            args = [(rank, lengths, dedup, cmp, part, workers) for part in range(workers)]
+            parts = list(pool.map(_campaign_part, args))
 
-    histogram: dict[str, int] = {}
-    counterexamples: list[dict] = []
-    weinbaum_min: int | None = None
-    anomaly_count = 0
-    for length, descent_len, weinbaum_count, bad_report, n_anomalies in summaries:
-        if descent_len is not None:
-            g = gcd(descent_len, length)  # the ratio in lowest terms, as str(Fraction) writes it
-            key = f"{descent_len // g}/{length // g}".removesuffix("/1")
-            histogram[key] = histogram.get(key, 0) + 1
-        if weinbaum_min is None or weinbaum_count < weinbaum_min:
-            weinbaum_min = weinbaum_count
-        anomaly_count += n_anomalies
-        if bad_report is not None:
-            counterexamples.append(bad_report)
-
+    counts, ratios, least, found = zip(*parts)
+    by_length = {n: sum(part[n] for part in counts) for n in closed_form}
+    histogram = sum(ratios, Counter())
+    counterexamples = [bad for _, bad in sorted(chain.from_iterable(found), key=lambda kb: kb[0])]
     mismatch = {n: [c, by_length[n]] for n, c in closed_form.items() if c != by_length[n]}
     checks = ["unique_ascent", "descent_placement"]
     if _checks_monotonic(cmp):
@@ -539,11 +529,11 @@ def run_campaign(
         order=cmp.description,
         dedup=dedup,
         checks=checks,
-        words_checked=len(todo),
+        words_checked=sum(by_length.values()),
         words_checked_by_length=by_length,
         nonperiodic_count=sum(closed_form.values()),
-        anomaly_count=anomaly_count,
-        weinbaum_min=weinbaum_min,
+        anomaly_count=sum(len(example["anomalies"]) for example in counterexamples),
+        weinbaum_min=min((m for m in least if m is not None), default=None),
         descent_ratio_histogram=dict(sorted(histogram.items())),
         counterexamples=counterexamples,
         duration_seconds=time.perf_counter() - started,

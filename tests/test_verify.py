@@ -397,9 +397,21 @@ def test_campaign_dedup_none_scales_by_class_size():
     assert paranoid.anomaly_count == 0
 
 
-def test_campaign_deterministic_across_worker_counts():
-    serial = run_campaign(2, 2, 4, workers=1).to_dict()
-    parallel = run_campaign(2, 2, 4, workers=2).to_dict()
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "lengths, options",
+    [
+        ((2, 4), {}),
+        # 253 classes, 162 of them counterexamples: uneven parts whose
+        # counterexamples must merge back into enumeration order.
+        ((2, 7), {"cap": 1}),
+        ((1, 6), {"dedup": "none"}),
+    ],
+    ids=["classes", "cap1", "dedup-none"],
+)
+def test_campaign_deterministic_across_worker_counts(lengths, options, workers):
+    serial = run_campaign(2, *lengths, workers=1, **options).to_dict()
+    parallel = run_campaign(2, *lengths, workers=workers, **options).to_dict()
     serial.pop("duration_seconds")
     parallel.pop("duration_seconds")
     assert serial == parallel
