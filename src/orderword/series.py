@@ -259,7 +259,8 @@ class MagnusOrder:
             raise ValueError("cap must be positive")
         self.cap = cap
         self._verdicts: dict[tuple[tuple[Letter, ...], tuple[Letter, ...]], int] = {}
-        self._low: dict[tuple[Letter, ...], tuple[int, ...]] = {}
+        # Keyed by Word for compare and sign, by letters for _compare_letters.
+        self._low: dict[Word | tuple[Letter, ...], tuple[int, ...]] = {}
         self._table: CyclicSigns | None = None
 
     @property
@@ -268,27 +269,57 @@ class MagnusOrder:
         return "magnus(" + ">".join(f"x{g}" for g in order) + ")"
 
     def compare(self, v: Word, w: Word) -> Ordering:
+        """GREATER, EQUAL or LESS as v is above, equal to or below w.
+
+        This is :meth:`_compare_letters` with the low-degree memo keyed by the
+        words, whose hash each caches, rather than by their letters: pairs that
+        differ through degree 2 are decided here, and a tie goes to
+        :meth:`_break_tie`. The negative-control orders of
+        ``tests/test_check_word_parity.py`` override ``_compare_letters`` and
+        ``_sign_letters`` but not this or :meth:`sign`, and no test calls their
+        ``compare`` or ``sign``.
+        """
         if v.rank != w.rank:
             raise ValueError("cannot compare words of different ranks")
-        return _ORDERINGS[self._compare_letters(v.letters, w.letters)]
+        low = self._low
+        a = low.get(v) or low.setdefault(v, self._low_degrees(v.letters))
+        b = low.get(w) or low.setdefault(w, self._low_degrees(w.letters))
+        if a != b:
+            return _ORDERINGS[1 if a > b else -1]
+        return _ORDERINGS[self._break_tie(v.letters, w.letters)]
 
     def sign(self, w: Word) -> int:
-        """+1, 0 or -1 as w compares to the identity."""
-        return self._sign_letters(w.letters)
+        """+1, 0 or -1 as w compares to the identity, whose low degrees are all 0."""
+        low = self._low
+        a = low.get(w) or low.setdefault(w, self._low_degrees(w.letters))
+        zero = (0,) * len(a)
+        if a != zero:
+            return 1 if a > zero else -1
+        return self._break_tie(w.letters, ())
 
     def _compare_letters(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
-        """The one comparison path: +1, 0 or -1 as lv is above, equal to or below lw.
+        """+1, 0 or -1 as lv is above, equal to or below lw.
 
-        Each word's low degrees decide first (only degree 1 under a cap of 1). The
-        order is invariant under multiplication on both sides, so words tied there
-        tie on their stripped sides too: common ends cancel next. The kernel's
-        verdict on the stripped pair is memoised, a lone side put first.
+        Each side's low degrees decide first (only degree 1 under a cap of 1), from
+        the memo keyed by letters: the sign table, ``maximal_ascent`` and the
+        oracles of the tests compare slices of letter rows, not words. A tie goes
+        to :meth:`_break_tie`.
         """
         low = self._low
-        a = low.get(lv) or self._low_degrees(lv)
-        b = low.get(lw) or self._low_degrees(lw)
+        a = low.get(lv) or low.setdefault(lv, self._low_degrees(lv))
+        b = low.get(lw) or low.setdefault(lw, self._low_degrees(lw))
         if a != b:
             return 1 if a > b else -1
+        return self._break_tie(lv, lw)
+
+    def _break_tie(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
+        """+1, 0 or -1 as lv is above, equal to or below lw, whose low degrees agree.
+
+        The order is invariant under multiplication on both sides, so words tied
+        through degree 2 tie on their stripped sides too: common ends cancel
+        first. The kernel's verdict on the stripped pair is memoised, a lone side
+        put first.
+        """
         n = min(len(lv), len(lw))
         head = 0
         while head < n and lv[head] == lw[head]:
@@ -306,13 +337,13 @@ class MagnusOrder:
         return verdict if lv else -verdict
 
     def _low_degrees(self, letters: tuple[Letter, ...]) -> tuple[int, ...]:
-        """Components 1 and 2 of the image of letters as one tuple, stored in the memo.
+        """Components 1 and 2 of the image of letters as one tuple; the callers memoise it.
 
         At rank r, entry p is the exponent sum e_p of the variable at place p and
         entry r + rp + q the coefficient of X_p X_q, p and q places, so tuple order
         is the order through degree 2. Appending x_p adds e_q X_q X_p for each q;
         appending x_p^-1 subtracts them and adds X_p X_p. Under a cap of 1 degree 2
-        may not decide, so only the first r entries are stored.
+        may not decide, so only the first r entries are kept.
         """
         r, place = self.rank, self._place
         low = [0] * (r + r * r)
@@ -324,8 +355,7 @@ class MagnusOrder:
                 low[r + r * q + p] += sign * low[q]
             low[r + r * p + p] += sign < 0
             low[p] += sign
-        low = self._low[letters] = tuple(low[: r if self.cap == 1 else None])
-        return low
+        return tuple(low[: r if self.cap == 1 else None])
 
     def _first_difference(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
         """+1 or -1 as the image of lv is above or below that of lw.
@@ -460,9 +490,17 @@ class CyclicSigns:
         self.low_peak = list(zip(low[:n], peak[:n])) + mirror
 
     def _span(self, i: int, j: int) -> int:
-        """The sign of span [i, j) of W·W: its key's, else its key2's, else the kernel's."""
+        """The sign of span [i, j) of W·W: its key's, else its key2's, else the kernel's.
+
+        Only the kernel needs the order; once the order is gone that raises ReferenceError.
+        """
         key = self._keys[j] - self._keys[i] or self.key2(0, i, j)
-        return (key > 0) - (key < 0) if key else self._order()._sign_letters(self._text[i:j])
+        if key:
+            return (key > 0) - (key < 0)
+        order = self._order()
+        if order is None:
+            raise ReferenceError("the order of this sign table no longer exists")
+        return order._sign_letters(self._text[i:j])
 
     def key(self, r: int, i: int, j: int) -> int:
         """The key of span [i, j) of row r: its sign is the span's degree-1 sign."""

@@ -33,14 +33,18 @@ class Letter(NamedTuple):
 class _Record:
     """Value semantics for a slotted class whose ``__init__`` sets each slot once.
 
-    A record equals only a record of its own class with equal fields, refuses
-    assignment, and pickles and copies by rebuilding through ``__init__``.
+    The fields are the slots whose names do not start with ``_``; a private slot
+    holds something derived from them, such as ``Word``'s hash. A record equals
+    only a record of its own class with equal fields, refuses assignment to any
+    slot, and pickles and copies by rebuilding through ``__init__`` from its
+    fields, which recomputes the private slots.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._values = property(attrgetter(*cls.__slots__))  # the fields, in slot order
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = property(attrgetter(*cls._fields))  # the fields, in slot order
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -56,7 +60,7 @@ class _Record:
         return self.__class__, self._values
 
     def __repr__(self) -> str:
-        fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._values))
         return f"{self.__class__.__name__}({', '.join(fields)})"
 
 
@@ -67,12 +71,13 @@ class Word(_Record):
     :func:`reduce`. Slicing yields sub-Words of the same rank.
     """
 
-    __slots__ = ("letters", "rank")
+    __slots__ = ("letters", "rank", "_hash")
 
     def __init__(self, letters: Iterable[Letter], rank: int) -> None:
         object.__setattr__(self, "letters", tuple(letters))
         object.__setattr__(self, "rank", rank)
         self.__post_init__()
+        object.__setattr__(self, "_hash", hash((self.letters, rank)))
 
     def __post_init__(self) -> None:
         """Refuse a bad rank, letter or inverse pair; ``__init__`` calls this once."""
@@ -91,7 +96,12 @@ class Word(_Record):
             prev = letter
 
     def __hash__(self) -> int:
-        return hash((self.letters, self.rank))
+        """``hash((letters, rank))``, computed once by ``__init__``.
+
+        A tuple re-hashes its letters on every call; the order's low-degree memo
+        is keyed by words, so ``compare`` and ``sign`` would pay that per lookup.
+        """
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -350,7 +350,8 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
         found = occurrences(ascent, host)
         if not found:
             continue
-        if cmp.sign(host) <= 0:
+        # The sign the order's table reads; negative-control orders override only it.
+        if cmp._sign_letters(host.letters) <= 0:
             anomalies.append(Anomaly("host_not_positive", f"{host} contains {ascent}"))
         if len(found) != 1:
             anomalies.append(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import random
 
@@ -573,6 +574,71 @@ def test_a_sign_and_its_comparison_with_the_identity_share_one_verdict():
     assert sign in (1, -1)
     assert cmp.compare(identity(2), u) is (Ordering.LESS if sign > 0 else Ordering.GREATER)
     assert cmp.calls == [(u.letters, ())]
+
+
+class LowLog(MagnusOrder):
+    """A Magnus order that records every letter row whose low degrees it computes."""
+
+    def __init__(self, rank):
+        super().__init__(rank)
+        self.lows = []
+
+    def _low_degrees(self, letters):
+        self.lows.append(letters)
+        return super()._low_degrees(letters)
+
+
+def test_equal_words_share_one_low_degree_entry():
+    cmp = MagnusOrder(2)
+    v = P("abAAB")
+    w = Word(list(v.letters), 2)
+    assert v is not w
+    assert cmp.compare(v, w) is Ordering.EQUAL and cmp.compare(w, v) is Ordering.EQUAL
+    assert list(cmp._low) == [v] and cmp._verdicts == {}
+
+
+def test_compare_and_sign_compute_each_words_low_degrees_once():
+    # The second sweep passes equal words built anew, so a hit needs equal
+    # words, not the same objects, and a miss must be stored under its word.
+    cmp = LowLog(2)
+    words = [w for n in range(4) for w in all_reduced(2, n)]
+    for sweep in (words, [Word(w.letters, w.rank) for w in words]):
+        for v, w in itertools.product(sweep, repeat=2):
+            cmp.compare(v, w)
+        for w in sweep:
+            cmp.sign(w)
+    assert sorted(cmp.lows) == sorted(w.letters for w in words)
+
+
+def test_the_low_degree_memo_is_keyed_by_words_only_through_compare_and_sign():
+    cmp = MagnusOrder(2)
+    words = [w for n in range(5) for w in all_reduced(2, n)]
+    for v, w in itertools.product(words, repeat=2):
+        cmp.compare(v, w)
+    for w in words:
+        cmp.sign(w)
+    assert len(cmp._low) == len(words) and all(isinstance(k, Word) for k in cmp._low)
+    # The sign table and the search read it by letters.
+    audit = MagnusOrder(2)
+    for n in range(2, 8):
+        for w in enumerate_cyclically_reduced(2, n, dedup="rotation_class"):
+            if not is_periodic(w):
+                check_word(w, audit)
+    assert audit._low and not any(isinstance(k, Word) for k in audit._low)
+
+
+def test_a_sign_table_that_outlives_its_order_refuses_kernel_signs():
+    # c_3 = [[a, b], b] is balanced with degree 2 zero, so only the kernel signs it.
+    c3 = concat(P("abAB"), P("b"), inverse(P("abAB")), P("B"))
+    w = concat(c3, P("aa"))
+    cells = [(r, l) for r in range(2 * len(w)) for l in range(1, len(w) + 1)]
+    alive = MagnusOrder(2)
+    assert all(alive._cyclic_signs(w).sign(r, l) in (1, -1) for r, l in cells)
+    table = MagnusOrder(2)._cyclic_signs(w)
+    gc.collect()
+    with pytest.raises(ReferenceError, match="^the order of this sign table no longer exists$"):
+        for r, l in cells:
+            table.sign(r, l)
 
 
 def test_bruteforce_and_peaklow_agree_small(order, swapped):

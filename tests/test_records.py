@@ -29,6 +29,28 @@ def test_word_copies_and_pickles_by_value(clone):
     assert type(twin.letters) is tuple and twin.rank == 2
 
 
+@pytest.mark.parametrize(
+    "clone",
+    [lambda w: w, copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+    ids=["built", "copy", "deepcopy", "pickle"],
+)
+def test_a_words_cached_hash_is_that_of_its_fields(clone):
+    for w in (parse_word("abAAB", 2), parse_word("", 3), Word((Letter(3, -1),), 3)):
+        twin = clone(w)
+        assert hash(twin) == hash((twin.letters, twin.rank)) == hash((w.letters, w.rank))
+
+
+def test_a_words_hash_slot_is_not_a_field():
+    w = parse_word("abA", 2)
+    assert repr(w) == "Word('abA', rank=2)"
+    assert w.__reduce__() == (Word, (w.letters, 2))
+    assert w._values == (w.letters, 2) and w == Word(w.letters, 2)
+    with pytest.raises(AttributeError, match="cannot change field '_hash'"):
+        w._hash = 0
+    with pytest.raises(AttributeError, match="cannot change field '_hash'"):
+        del w._hash
+
+
 def test_unpickling_a_word_validates_it():
     with pytest.raises(ValueError, match="not freely reduced"):
         pickle.loads(pickle.dumps(_Forged()))
@@ -56,6 +78,9 @@ def test_truncated_series_is_frozen_and_unhashable():
         s.degree_bound = 2
     with pytest.raises(TypeError):
         hash(s)
+    assert repr(s) == (
+        "TruncatedSeries(rank=2, degree_bound=1, coefficients={(): 1, (1,): 1, (2,): -1})"
+    )
 
 
 def test_decomposition_and_anomaly_are_immutable_keyword_records():
