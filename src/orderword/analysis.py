@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .series import MagnusOrder
+from .series import MagnusOrder, Ordering
 from .words import NotCyclicallyReducedError, Word, is_periodic
 
 
@@ -112,7 +112,7 @@ def maximal_ascent(w: Word, cmp: MagnusOrder) -> Word:
 
     Per rotation, the candidate is the slice from the low prefix to the peak
     prefix. Candidates are ordered by their exponent-sum keys, at degree 1,
-    then by their degree-2 keys; only candidates equal in both reach the kernel.
+    then by their degree-2 keys; only candidates equal in both reach ``compare``.
     """
     if len(w) == 0:
         raise ValueError("the empty word has no ascent")
@@ -131,7 +131,7 @@ def maximal_ascent(w: Word, cmp: MagnusOrder) -> Word:
         if best is None or (
             key - best_key
             or table.key2(*span) - table.key2(*spans[best])
-            or cmp._compare_letters(candidate, best)
+            or cmp.compare(Word(candidate, w.rank), Word(best, w.rank)) is Ordering.GREATER
         ) > 0:
             best, best_key = candidate, key
     return Word(best, w.rank)

@@ -259,7 +259,7 @@ class MagnusOrder:
             raise ValueError("cap must be positive")
         self.cap = cap
         self._verdicts: dict[tuple[tuple[Letter, ...], tuple[Letter, ...]], int] = {}
-        # Keyed by Word for compare and sign, by letters for _compare_letters.
+        # Keyed by Word for compare, by letters for _sign_letters and so for sign.
         self._low: dict[Word | tuple[Letter, ...], tuple[int, ...]] = {}
         self._table: CyclicSigns | None = None
 
@@ -271,13 +271,10 @@ class MagnusOrder:
     def compare(self, v: Word, w: Word) -> Ordering:
         """GREATER, EQUAL or LESS as v is above, equal to or below w.
 
-        This is :meth:`_compare_letters` with the low-degree memo keyed by the
-        words, whose hash each caches, rather than by their letters: pairs that
+        Each word's low degrees decide first (only degree 1 under a cap of 1),
+        from the memo keyed by the words, whose hash each caches: pairs that
         differ through degree 2 are decided here, and a tie goes to
-        :meth:`_break_tie`. The negative-control orders of
-        ``tests/test_check_word_parity.py`` override ``_compare_letters`` and
-        ``_sign_letters`` but not this or :meth:`sign`, and no test calls their
-        ``compare`` or ``sign``.
+        :meth:`_break_tie`.
         """
         if v.rank != w.rank:
             raise ValueError("cannot compare words of different ranks")
@@ -289,36 +286,29 @@ class MagnusOrder:
         return _ORDERINGS[self._break_tie(v.letters, w.letters)]
 
     def sign(self, w: Word) -> int:
-        """+1, 0 or -1 as w compares to the identity, whose low degrees are all 0."""
+        """+1, 0 or -1 as w is above, equal to or below the identity: :meth:`_sign_letters`."""
+        return self._sign_letters(w.letters)
+
+    def _sign_letters(self, letters: tuple[Letter, ...]) -> int:
+        """+1, 0 or -1 as a letter row is above, equal to or below the identity.
+
+        Its low degrees, memoised by letters, decide against the identity's zeros
+        first; a tie goes to :meth:`_break_tie`. The oracles sign row slices here.
+        """
         low = self._low
-        a = low.get(w) or low.setdefault(w, self._low_degrees(w.letters))
+        a = low.get(letters) or low.setdefault(letters, self._low_degrees(letters))
         zero = (0,) * len(a)
         if a != zero:
             return 1 if a > zero else -1
-        return self._break_tie(w.letters, ())
-
-    def _compare_letters(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
-        """+1, 0 or -1 as lv is above, equal to or below lw.
-
-        Each side's low degrees decide first (only degree 1 under a cap of 1), from
-        the memo keyed by letters: the sign table, ``maximal_ascent`` and the
-        oracles of the tests compare slices of letter rows, not words. A tie goes
-        to :meth:`_break_tie`.
-        """
-        low = self._low
-        a = low.get(lv) or low.setdefault(lv, self._low_degrees(lv))
-        b = low.get(lw) or low.setdefault(lw, self._low_degrees(lw))
-        if a != b:
-            return 1 if a > b else -1
-        return self._break_tie(lv, lw)
+        return self._break_tie(letters, ())
 
     def _break_tie(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
         """+1, 0 or -1 as lv is above, equal to or below lw, whose low degrees agree.
 
+        Called past a low-degree gate by :meth:`compare`, :meth:`_sign_letters` and the sign table.
         The order is invariant under multiplication on both sides, so words tied
-        through degree 2 tie on their stripped sides too: common ends cancel
-        first. The kernel's verdict on the stripped pair is memoised, a lone side
-        put first.
+        through degree 2 tie on their stripped sides too: common ends cancel first.
+        The kernel's verdict on the stripped pair is memoised, a lone side put first.
         """
         n = min(len(lv), len(lw))
         head = 0
@@ -383,9 +373,6 @@ class MagnusOrder:
             f"distinct words compared equal up to the cap of degree {cap} "
             f"(lengths {len(lv)} and {len(lw)} without common ends); raise the cap"
         )
-
-    def _sign_letters(self, letters: tuple[Letter, ...]) -> int:
-        return self._compare_letters(letters, ())
 
     def _weights(self, base: int) -> list[int]:
         """``base ** (rank - 1 - place[g])`` for each generator g, by repeated multiplication."""
@@ -492,7 +479,8 @@ class CyclicSigns:
     def _span(self, i: int, j: int) -> int:
         """The sign of span [i, j) of W·W: its key's, else its key2's, else the kernel's.
 
-        Only the kernel needs the order; once the order is gone that raises ReferenceError.
+        Both keys 0 tie it with the identity through degree 2, so it skips the order's
+        gate for its tie step, which raises ReferenceError once the order is gone.
         """
         key = self._keys[j] - self._keys[i] or self.key2(0, i, j)
         if key:
@@ -500,7 +488,7 @@ class CyclicSigns:
         order = self._order()
         if order is None:
             raise ReferenceError("the order of this sign table no longer exists")
-        return order._sign_letters(self._text[i:j])
+        return order._break_tie(self._text[i:j], ())
 
     def key(self, r: int, i: int, j: int) -> int:
         """The key of span [i, j) of row r: its sign is the span's degree-1 sign."""

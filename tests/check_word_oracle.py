@@ -49,7 +49,7 @@ from orderword.analysis import (
     is_descent,
     prefix_profile,
 )
-from orderword.series import CyclicSigns
+from orderword.series import CyclicSigns, Ordering
 from orderword.verify import Anomaly, WordReport
 from orderword.words import (
     Letter,
@@ -191,10 +191,10 @@ def maximal_ascent(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Max
     if not candidates:
         raise AscentPlacementError(f"no ascent found among subwords of {w!r}")
     best = None
-    for candidate in candidates:
-        if best is None or cmp._compare_letters(candidate, best) > 0:
+    for candidate in (Word(letters, w.rank) for letters in candidates):
+        if best is None or cmp.compare(candidate, best) is Ordering.GREATER:
             best = candidate
-    return _locate(best, elements, w.rank)
+    return _locate(best.letters, elements, w.rank)
 
 
 def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decomposition:

@@ -598,33 +598,30 @@ def test_equal_words_share_one_low_degree_entry():
 
 
 def test_compare_and_sign_compute_each_words_low_degrees_once():
-    # The second sweep passes equal words built anew, so a hit needs equal
-    # words, not the same objects, and a miss must be stored under its word.
-    cmp = LowLog(2)
+    # Each sweep runs again on equal words built anew, so a hit needs an equal
+    # key, not the same object, and a miss must be stored under its key:
+    # compare keys the memo by words, sign by letter rows.
     words = [w for n in range(4) for w in all_reduced(2, n)]
+    by_words, by_letters = LowLog(2), LowLog(2)
     for sweep in (words, [Word(w.letters, w.rank) for w in words]):
         for v, w in itertools.product(sweep, repeat=2):
-            cmp.compare(v, w)
+            by_words.compare(v, w)
         for w in sweep:
-            cmp.sign(w)
-    assert sorted(cmp.lows) == sorted(w.letters for w in words)
+            by_letters.sign(w)
+    for cmp, key_type in ((by_words, Word), (by_letters, tuple)):
+        assert sorted(cmp.lows) == sorted(w.letters for w in words)
+        assert all(isinstance(k, key_type) for k in cmp._low)
 
 
-def test_the_low_degree_memo_is_keyed_by_words_only_through_compare_and_sign():
-    cmp = MagnusOrder(2)
-    words = [w for n in range(5) for w in all_reduced(2, n)]
-    for v, w in itertools.product(words, repeat=2):
-        cmp.compare(v, w)
-    for w in words:
-        cmp.sign(w)
-    assert len(cmp._low) == len(words) and all(isinstance(k, Word) for k in cmp._low)
-    # The sign table and the search read it by letters.
+def test_the_low_degree_memo_is_keyed_by_words_only_through_compare():
+    # The sign table sends a span that its keys tie with the identity past the
+    # gate, and the search sends a key tie to compare: an audit keys it by words.
     audit = MagnusOrder(2)
     for n in range(2, 8):
         for w in enumerate_cyclically_reduced(2, n, dedup="rotation_class"):
             if not is_periodic(w):
                 check_word(w, audit)
-    assert audit._low and not any(isinstance(k, Word) for k in audit._low)
+    assert audit._low and all(isinstance(k, Word) for k in audit._low)
 
 
 def test_a_sign_table_that_outlives_its_order_refuses_kernel_signs():

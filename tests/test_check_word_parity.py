@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -21,7 +22,9 @@ from orderword import (
     reduce,
 )
 from orderword import verify
+from orderword.series import _ORDERINGS
 from orderword.words import _rotation_rows
+from test_analysis import KernelLog, LowLog
 from wordgen import all_reduced
 
 
@@ -50,8 +53,9 @@ class LexOrder(MagnusOrder):
         mine, theirs = self._key(letters), self._key(_inverse(letters))
         return (mine > theirs) - (mine < theirs)
 
-    def _compare_letters(self, lv, lw):
-        return self._sign_letters(reduce(_inverse(lw) + lv, self.rank).letters)
+    def compare(self, v, w):
+        u = reduce(_inverse(w.letters) + v.letters, self.rank)
+        return _ORDERINGS[self._sign_letters(u.letters)]
 
     def _cyclic_signs(self, w):
         # The per-cell table: the exponent-sum keys are the Magnus order's,
@@ -91,6 +95,34 @@ class RandomSignOrder(LexOrder):
                 sign = sign if mine < theirs else -sign
             self._memo[letters] = sign
         return sign
+
+
+@pytest.mark.parametrize(
+    "order_type, args",
+    [
+        (MagnusOrder, (2,)),
+        (MagnusOrder, (2, (2, 1))),
+        (KernelLog, (2,)),
+        (LowLog, (2,)),
+        (LexOrder, (2,)),
+        (CountThenReversedOrder, (2,)),
+        (RandomSignOrder, (2, 1)),
+        (RandomSignOrder, (2, 2)),
+        (RandomSignOrder, (2, 3)),
+    ],
+    ids="magnus magnus-swapped kernel-log low-log lex count random-1 random-2 random-3".split(),
+)
+def test_every_order_compares_and_signs_by_its_own_sign(order_type, args):
+    # compare(v, w) is the sign of w^-1 v and sign(w) that of w, both from the
+    # order's one primitive, so that no order answers with one it inherited.
+    cmp = order_type(*args)
+    words = [w for n in range(4) for w in all_reduced(2, n)]
+    assert len(words) == 53
+    for w in words:
+        assert cmp.sign(w) == cmp._sign_letters(w.letters), str(w)
+    for v, w in itertools.product(words, repeat=2):
+        u = reduce(_inverse(w.letters) + v.letters, 2)
+        assert cmp.compare(v, w) is _ORDERINGS[cmp._sign_letters(u.letters)], (str(v), str(w))
 
 
 # The oracle's host labels that check_word proves away (see its docstring).

@@ -576,9 +576,9 @@ def test_no_module_imports_private_series_names():
             "series.py",
             "CyclicSigns",
             ("order", "self._order()"),
-            {"_prefix_keys", "cap", "_sign_letters"},
+            {"_prefix_keys", "cap", "_break_tie"},
         ),
-        ("analysis.py", None, ("cmp",), {"_cyclic_signs", "_compare_letters", "_sign_letters"}),
+        ("analysis.py", None, ("cmp",), {"_cyclic_signs", "compare", "_sign_letters"}),
         ("verify.py", None, ("cmp",), {"_cyclic_signs", "rank", "precedence", "description"}),
     ],
     ids=["sign-table", "analysis", "verify"],
