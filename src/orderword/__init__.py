@@ -8,7 +8,6 @@ from .words import (
     Rotation,
     Word,
     concat,
-    cyclically_reduce,
     identity,
     inverse,
     is_monotonic,

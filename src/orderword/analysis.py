@@ -42,10 +42,9 @@ def _require_decomposable(w: Word, what: str) -> None:
 
 def _monotone_word(u: Word, cmp: MagnusOrder, want: int) -> bool:
     # u is nonempty and every nonempty prefix and suffix has sign want.
-    letters, sign = u.letters, cmp._sign_letters
-    n = len(letters)
-    return n > 0 and all(want * sign(letters[:i]) > 0 for i in range(1, n + 1)) and all(
-        want * sign(letters[i:]) > 0 for i in range(1, n)
+    n, sign = len(u), cmp.sign
+    return n > 0 and all(want * sign(u[:i]) > 0 for i in range(1, n + 1)) and all(
+        want * sign(u[i:]) > 0 for i in range(1, n)
     )
 
 
@@ -65,14 +64,13 @@ def prefix_profile(w: Word, cmp: MagnusOrder) -> tuple[int, int]:
     The n+1 prefixes of a reduced word are pairwise distinct group elements,
     so both are unique; they coincide only for the empty word.
     """
-    letters = w.letters
-    sign = cmp._sign_letters
+    sign = cmp.sign
     peak = low = 0
-    for i in range(1, len(letters) + 1):
-        # Prefix i against an earlier prefix j is the sign of letters[j:i].
-        if sign(letters[peak:i]) > 0:
+    for i in range(1, len(w) + 1):
+        # Prefix i against an earlier prefix j is the sign of w[j:i].
+        if sign(w[peak:i]) > 0:
             peak = i
-        if sign(letters[low:i]) < 0:
+        if sign(w[low:i]) < 0:
             low = i
     return low, peak
 
@@ -81,12 +79,11 @@ def ascent_descent_spans(
     w: Word, cmp: MagnusOrder
 ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
     """Index spans [i, j) of all ascent and all descent subwords of w."""
-    letters = w.letters
-    n = len(letters)
+    n = len(w)
     sign = {}
     for i in range(n):
         for j in range(i + 1, n + 1):
-            sign[i, j] = cmp._sign_letters(letters[i:j])
+            sign[i, j] = cmp.sign(w[i:j])
 
     def spans(want: int) -> set[tuple[int, int]]:
         # [i, j) qualifies iff every prefix span [i, k) and suffix span [k, j)
@@ -124,7 +121,8 @@ def maximal_ascent(w: Word, cmp: MagnusOrder) -> Word:
     if not spans:
         raise AscentPlacementError(f"no ascent found among subwords of {w!r}")
     best = best_key = None
-    # A set grown in row order fixes the comparisons' order, so a cap stops the same one.
+    # The set iterates in its hash-table order, not row order; tuples of Letters hash
+    # unsalted, so a cap stops the same comparison each run. The capped word lists pin it.
     for candidate in {span for span in spans}:
         span = spans[candidate]
         key = table.key(*span)

@@ -230,8 +230,9 @@ def mu(w: Word, degree_bound: int) -> TruncatedSeries:
     return MuCache().mu_of(w.letters, w.rank, degree_bound)
 
 
-# Indexed by a sign: [1] is GREATER, [0] EQUAL and [-1] LESS.
+# Indexed by a sign: [1] is GREATER, [0] EQUAL and [-1] LESS; _SIGNS maps each back.
 _ORDERINGS = (Ordering.EQUAL, Ordering.GREATER, Ordering.LESS)
+_SIGNS = dict(zip(_ORDERINGS, (0, 1, -1)))
 
 
 class MagnusOrder:
@@ -259,8 +260,7 @@ class MagnusOrder:
             raise ValueError("cap must be positive")
         self.cap = cap
         self._verdicts: dict[tuple[tuple[Letter, ...], tuple[Letter, ...]], int] = {}
-        # Keyed by Word for compare, by letters for _sign_letters and so for sign.
-        self._low: dict[Word | tuple[Letter, ...], tuple[int, ...]] = {}
+        self._low: dict[Word, tuple[int, ...]] = {}
         self._table: CyclicSigns | None = None
 
     @property
@@ -273,8 +273,10 @@ class MagnusOrder:
 
         Each word's low degrees decide first (only degree 1 under a cap of 1),
         from the memo keyed by the words, whose hash each caches: pairs that
-        differ through degree 2 are decided here, and a tie goes to
-        :meth:`_break_tie`.
+        differ through degree 2 are decided here. The order is invariant under
+        multiplication on both sides, so words tied through degree 2 tie on their
+        stripped sides too: common ends cancel, and the kernel's verdict on the
+        stripped pair is memoised, a lone side put first.
         """
         if v.rank != w.rank:
             raise ValueError("cannot compare words of different ranks")
@@ -283,33 +285,7 @@ class MagnusOrder:
         b = low.get(w) or low.setdefault(w, self._low_degrees(w.letters))
         if a != b:
             return _ORDERINGS[1 if a > b else -1]
-        return _ORDERINGS[self._break_tie(v.letters, w.letters)]
-
-    def sign(self, w: Word) -> int:
-        """+1, 0 or -1 as w is above, equal to or below the identity: :meth:`_sign_letters`."""
-        return self._sign_letters(w.letters)
-
-    def _sign_letters(self, letters: tuple[Letter, ...]) -> int:
-        """+1, 0 or -1 as a letter row is above, equal to or below the identity.
-
-        Its low degrees, memoised by letters, decide against the identity's zeros
-        first; a tie goes to :meth:`_break_tie`. The oracles sign row slices here.
-        """
-        low = self._low
-        a = low.get(letters) or low.setdefault(letters, self._low_degrees(letters))
-        zero = (0,) * len(a)
-        if a != zero:
-            return 1 if a > zero else -1
-        return self._break_tie(letters, ())
-
-    def _break_tie(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
-        """+1, 0 or -1 as lv is above, equal to or below lw, whose low degrees agree.
-
-        Called past a low-degree gate by :meth:`compare`, :meth:`_sign_letters` and the sign table.
-        The order is invariant under multiplication on both sides, so words tied
-        through degree 2 tie on their stripped sides too: common ends cancel first.
-        The kernel's verdict on the stripped pair is memoised, a lone side put first.
-        """
+        lv, lw = v.letters, w.letters
         n = min(len(lv), len(lw))
         head = 0
         while head < n and lv[head] == lw[head]:
@@ -320,14 +296,18 @@ class MagnusOrder:
         lv, lw = lv[head : len(lv) - tail], lw[head : len(lw) - tail]
         pair = (lv, lw) if lv else (lw, lv)
         if not pair[0]:
-            return 0
+            return Ordering.EQUAL
         verdict = self._verdicts.get(pair)
         if verdict is None:
             verdict = self._verdicts[pair] = self._first_difference(*pair)
-        return verdict if lv else -verdict
+        return _ORDERINGS[verdict if lv else -verdict]
+
+    def sign(self, w: Word) -> int:
+        """+1, 0 or -1 as w is above, equal to or below the identity of its rank."""
+        return _SIGNS[self.compare(w, Word((), w.rank))]
 
     def _low_degrees(self, letters: tuple[Letter, ...]) -> tuple[int, ...]:
-        """Components 1 and 2 of the image of letters as one tuple; the callers memoise it.
+        """Components 1 and 2 of the image of letters as one tuple; compare memoises it.
 
         At rank r, entry p is the exponent sum e_p of the variable at place p and
         entry r + rp + q the coefficient of X_p X_q, p and q places, so tuple order
@@ -477,10 +457,10 @@ class CyclicSigns:
         self.low_peak = list(zip(low[:n], peak[:n])) + mirror
 
     def _span(self, i: int, j: int) -> int:
-        """The sign of span [i, j) of W·W: its key's, else its key2's, else the kernel's.
+        """The sign of span [i, j) of W·W: its key's, else its key2's, else the order's.
 
-        Both keys 0 tie it with the identity through degree 2, so it skips the order's
-        gate for its tie step, which raises ReferenceError once the order is gone.
+        Both keys 0 tie it with the identity through degree 2, so the order signs it;
+        once the order is gone, that raises ReferenceError.
         """
         key = self._keys[j] - self._keys[i] or self.key2(0, i, j)
         if key:
@@ -488,7 +468,7 @@ class CyclicSigns:
         order = self._order()
         if order is None:
             raise ReferenceError("the order of this sign table no longer exists")
-        return order._break_tie(self._text[i:j], ())
+        return order.sign(Word(self._text[i:j], self.word.rank))
 
     def key(self, r: int, i: int, j: int) -> int:
         """The key of span [i, j) of row r: its sign is the span's degree-1 sign."""

@@ -217,18 +217,6 @@ def inverse(w: Word) -> Word:
     return Word(tuple(l.inverse() for l in reversed(w.letters)), w.rank)
 
 
-def cyclically_reduce(w: Word) -> tuple[Word, Word]:
-    """Strip cancelling end pairs; returns (core, conjugator) with w = c * core * c^-1."""
-    letters = w.letters
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == letters[hi - 1].inverse():
-        lo += 1
-        hi -= 1
-    core = Word(letters[lo:hi], w.rank)
-    conjugator = Word(letters[:lo], w.rank)
-    return core, conjugator
-
-
 def rotation_set(w: Word) -> tuple[Rotation, ...]:
     """All cyclic permutations of w and of w^-1, tagged with their origin, in offset order.
 

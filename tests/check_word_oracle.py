@@ -82,18 +82,20 @@ class MaximalAscent:
 class ReferenceSigns(CyclicSigns):
     """The per-cell sign table: ``sg[r][l]`` is the sign of the length-l prefix of row r.
 
-    ``sign_letters`` signs each prefix of a row of w; the length-l prefix of
+    ``sign`` signs each prefix of a row of w, as a word; the length-l prefix of
     row n + s is the inverse of the one of row (-s - l) mod n, and takes its
     negated sign. ``key`` and ``key2`` are always 0, so every comparison of
     two spans goes to the order.
     """
 
-    def __init__(self, w: Word, sign_letters) -> None:
+    def __init__(self, w: Word, sign) -> None:
         self.word = w
         self.rows = _rotation_rows(w)
         n = self.n = len(w)
         self._text, self._sorted, self._lcp, _ = _sorted_rotations(w)
-        ahead = [[0] + [sign_letters(row[:l]) for l in range(1, n + 1)] for row in self.rows[:n]]
+        ahead = [
+            [0] + [sign(Word(row[:l], w.rank)) for l in range(1, n + 1)] for row in self.rows[:n]
+        ]
         back = [[0] + [-ahead[(-s - l) % n][l] for l in range(1, n + 1)] for s in range(n)]
         self.sg = ahead + back
         self.low_peak = [self._greedy(r) for r in range(2 * n)]
@@ -350,8 +352,7 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
         found = occurrences(ascent, host)
         if not found:
             continue
-        # The sign the order's table reads; negative-control orders override only it.
-        if cmp._sign_letters(host.letters) <= 0:
+        if cmp.sign(host) <= 0:
             anomalies.append(Anomaly("host_not_positive", f"{host} contains {ascent}"))
         if len(found) != 1:
             anomalies.append(

@@ -215,7 +215,7 @@ def _same_table(w, fast, slow):
     # The library's table and the reference table of the same order agree
     # cell by cell, or raise the same UndecidedAtCapError; 1 if they raise.
     try:
-        want = oracle.ReferenceSigns(w, slow._sign_letters)
+        want = oracle.ReferenceSigns(w, slow.sign)
     except UndecidedAtCapError as exc:
         with pytest.raises(UndecidedAtCapError) as got:
             CyclicSigns(w, fast)
@@ -448,7 +448,7 @@ def test_cyclic_hosts_match_occurrences(rank, top):
         for w in enumerate_cyclically_reduced(rank, n):
             if is_periodic(w):
                 continue
-            table = oracle.ReferenceSigns(w, lambda letters: 0)
+            table = oracle.ReferenceSigns(w, lambda u: 0)
             elements = rotation_set(w)
             patterns = {
                 (e.word.letters * 2)[s : s + l]
@@ -599,23 +599,26 @@ def test_equal_words_share_one_low_degree_entry():
 
 def test_compare_and_sign_compute_each_words_low_degrees_once():
     # Each sweep runs again on equal words built anew, so a hit needs an equal
-    # key, not the same object, and a miss must be stored under its key:
-    # compare keys the memo by words, sign by letter rows.
+    # key, not the same object, and a miss must be stored under its key. Compare,
+    # sign and the analysis oracles, which sign subwords, all key the memo by words.
     words = [w for n in range(4) for w in all_reduced(2, n)]
-    by_words, by_letters = LowLog(2), LowLog(2)
+    by_compare, by_sign, by_analysis = LowLog(2), LowLog(2), LowLog(2)
     for sweep in (words, [Word(w.letters, w.rank) for w in words]):
         for v, w in itertools.product(sweep, repeat=2):
-            by_words.compare(v, w)
+            by_compare.compare(v, w)
         for w in sweep:
-            by_letters.sign(w)
-    for cmp, key_type in ((by_words, Word), (by_letters, tuple)):
+            by_sign.sign(w)
+            ascent_descent_spans(w, by_analysis)
+            prefix_profile(w, by_analysis)
+            is_ascent(w, by_analysis)
+    for cmp in (by_compare, by_sign, by_analysis):
         assert sorted(cmp.lows) == sorted(w.letters for w in words)
-        assert all(isinstance(k, key_type) for k in cmp._low)
+        assert all(isinstance(k, Word) for k in cmp._low)
 
 
 def test_the_low_degree_memo_is_keyed_by_words_only_through_compare():
-    # The sign table sends a span that its keys tie with the identity past the
-    # gate, and the search sends a key tie to compare: an audit keys it by words.
+    # The sign table signs a span that its keys tie with the identity through
+    # sign, and the search sends a key tie to compare: an audit keys it by words.
     audit = MagnusOrder(2)
     for n in range(2, 8):
         for w in enumerate_cyclically_reduced(2, n, dedup="rotation_class"):

@@ -9,20 +9,24 @@ from collections import Counter
 import pytest
 
 import check_word_oracle as oracle
+import series_oracle
 from orderword import (
     Decomposition,
     MagnusOrder,
+    Word,
     ascent_descent_spans,
     check_word,
+    compare_series,
     decompose,
     enumerate_cyclically_reduced,
+    identity,
     is_descent,
     is_periodic,
     parse_word,
     reduce,
 )
 from orderword import verify
-from orderword.series import _ORDERINGS
+from orderword.series import _ORDERINGS, _SIGNS, _syllable_count
 from orderword.words import _rotation_rows
 from test_analysis import KernelLog, LowLog
 from wordgen import all_reduced
@@ -49,20 +53,20 @@ class LexOrder(MagnusOrder):
     def _key(self, letters):
         return _codes(letters)
 
-    def _sign_letters(self, letters):
+    def _letters_sign(self, letters):
         mine, theirs = self._key(letters), self._key(_inverse(letters))
         return (mine > theirs) - (mine < theirs)
 
     def compare(self, v, w):
         u = reduce(_inverse(w.letters) + v.letters, self.rank)
-        return _ORDERINGS[self._sign_letters(u.letters)]
+        return _ORDERINGS[self._letters_sign(u.letters)]
 
     def _cyclic_signs(self, w):
         # The per-cell table: the exponent-sum keys are the Magnus order's,
         # not this one's, and its low and peak need no invariance.
         table = self._table
         if table is None or table.word != w:
-            table = self._table = oracle.ReferenceSigns(w, self._sign_letters)
+            table = self._table = oracle.ReferenceSigns(w, self.sign)
         return table
 
 
@@ -84,7 +88,7 @@ class RandomSignOrder(LexOrder):
         self.seed = seed
         self._memo = {}
 
-    def _sign_letters(self, letters):
+    def _letters_sign(self, letters):
         sign = self._memo.get(letters)
         if sign is None:
             mine, theirs = _codes(letters), _codes(_inverse(letters))
@@ -97,6 +101,13 @@ class RandomSignOrder(LexOrder):
         return sign
 
 
+class CompareOnly(MagnusOrder):
+    """The Magnus order reversed, a bi-order too, by an override of compare alone."""
+
+    def compare(self, v, w):
+        return super().compare(w, v)
+
+
 @pytest.mark.parametrize(
     "order_type, args",
     [
@@ -104,25 +115,37 @@ class RandomSignOrder(LexOrder):
         (MagnusOrder, (2, (2, 1))),
         (KernelLog, (2,)),
         (LowLog, (2,)),
+        (CompareOnly, (2,)),
         (LexOrder, (2,)),
         (CountThenReversedOrder, (2,)),
         (RandomSignOrder, (2, 1)),
         (RandomSignOrder, (2, 2)),
         (RandomSignOrder, (2, 3)),
     ],
-    ids="magnus magnus-swapped kernel-log low-log lex count random-1 random-2 random-3".split(),
+    ids=(
+        "magnus magnus-swapped kernel-log low-log compare-only lex count random-1 random-2 random-3"
+    ).split(),
 )
 def test_every_order_compares_and_signs_by_its_own_sign(order_type, args):
-    # compare(v, w) is the sign of w^-1 v and sign(w) that of w, both from the
-    # order's one primitive, so that no order answers with one it inherited.
+    # sign(w) is the sign of compare(w, 1), so that no order signs by a compare
+    # it does not have. The Magnus orders compare as the atom products of their
+    # images do at the syllable count of w^-1 v, where distinct words differ;
+    # the others compare as their own sign of w^-1 v.
     cmp = order_type(*args)
     words = [w for n in range(4) for w in all_reduced(2, n)]
     assert len(words) == 53
     for w in words:
-        assert cmp.sign(w) == cmp._sign_letters(w.letters), str(w)
+        assert cmp.sign(w) == _SIGNS[cmp.compare(w, identity(2))], str(w)
     for v, w in itertools.product(words, repeat=2):
-        u = reduce(_inverse(w.letters) + v.letters, 2)
-        assert cmp.compare(v, w) is _ORDERINGS[cmp._sign_letters(u.letters)], (str(v), str(w))
+        u = reduce(_inverse(w.letters) + v.letters, 2).letters
+        if isinstance(cmp, LexOrder):
+            want = _ORDERINGS[cmp._letters_sign(u)]
+        else:
+            a, b = (w, v) if isinstance(cmp, CompareOnly) else (v, w)
+            bound = _syllable_count(u)
+            a, b = series_oracle.mu(a, bound), series_oracle.mu(b, bound)
+            want = compare_series(a, b, cmp.precedence)
+        assert cmp.compare(v, w) is want, (str(v), str(w))
 
 
 # The oracle's host labels that check_word proves away (see its docstring).
@@ -151,7 +174,12 @@ def _assert_own_signs(w, cmp):
     assert isinstance(table, oracle.ReferenceSigns)
     for r, row in enumerate(_rotation_rows(w)):
         for l in range(1, len(w) + 1):
-            assert table.sign(r, l) == cmp._sign_letters(row[:l]), (str(w), r, l)
+            assert table.sign(r, l) == cmp.sign(Word(row[:l], w.rank)), (str(w), r, l)
+
+
+# c_3·a·a, with c_3 = [[a, b], b], and a class of length 8: under both precedences
+# their sign tables send a span that both keys tie with the identity to the order.
+TABLE_TIES = ("abAbaBABaa", "aabABBAb")
 
 
 @pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])
@@ -159,7 +187,8 @@ def _assert_own_signs(w, cmp):
 def test_check_word_matches_oracle(rank, top, swap):
     precedence = tuple(range(rank, 0, -1)) if swap else None
     cmp = MagnusOrder(rank, precedence=precedence)
-    for w in _classes(rank, top):
+    pinned = [parse_word(text, rank) for text in TABLE_TIES] if rank == 2 else []
+    for w in [*_classes(rank, top), *pinned]:
         _assert_same(w, cmp)
         assert decompose(w, cmp) == oracle.decompose(w, cmp)
 

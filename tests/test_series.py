@@ -576,9 +576,9 @@ def test_no_module_imports_private_series_names():
             "series.py",
             "CyclicSigns",
             ("order", "self._order()"),
-            {"_prefix_keys", "cap", "_break_tie"},
+            {"_prefix_keys", "cap", "sign"},
         ),
-        ("analysis.py", None, ("cmp",), {"_cyclic_signs", "compare", "_sign_letters"}),
+        ("analysis.py", None, ("cmp",), {"_cyclic_signs", "compare", "sign"}),
         ("verify.py", None, ("cmp",), {"_cyclic_signs", "rank", "precedence", "description"}),
     ],
     ids=["sign-table", "analysis", "verify"],

@@ -1,7 +1,8 @@
 """Every name a library module, test or demo imports is used there, or marked as kept.
 
 Every private module-level name, private method and private ``self`` attribute of
-the library is also read somewhere in it.
+the library is also read somewhere in it. Every method of an order that a test
+derives from ``MagnusOrder`` overrides one of its members or is called by the order.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from orderword import MagnusOrder
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "orderword").glob("*.py") if p.name != "__init__.py")
@@ -140,4 +143,80 @@ def test_guard_sees_an_unused_private_name(tmp_path):
         "sample.py:6: _orphan",
         "sample.py:12: self._left",
         "sample.py:15: Box._spare",
+    ]
+
+
+def _stale_order_methods(paths: list[Path]) -> list[str]:
+    """The methods of ``MagnusOrder`` subclasses in ``paths`` that nothing reaches.
+
+    A method counts as reached when ``MagnusOrder`` has a member of its name, or
+    when the class or one of its bases in ``paths`` reads it through ``self``. A
+    method left behind when the member it overrode is renamed or deleted fails both.
+    """
+    classes = {}  # name: (file name, class node)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (path.name, node)
+
+    def lineage(name: str) -> list[ast.ClassDef] | None:
+        # The class and its bases in paths if it derives from MagnusOrder, else None.
+        if name == "MagnusOrder":
+            return []
+        node = classes.get(name, (None, None))[1]
+        for base in node.bases if node else ():
+            above = lineage(base.id) if isinstance(base, ast.Name) else None
+            if above is not None:
+                return [node, *above]
+        return None
+
+    stale = []
+    for name, (file, node) in classes.items():
+        ancestry = lineage(name)
+        if ancestry is None:
+            continue
+        reads = {
+            n.attr
+            for c in ancestry
+            for n in ast.walk(c)
+            if isinstance(n, ast.Attribute) and ast.unparse(n.value) == "self"
+        }
+        stale += [
+            f"{file}:{m.lineno}: {name}.{m.name}"
+            for m in node.body
+            if isinstance(m, ast.FunctionDef)
+            and not hasattr(MagnusOrder, m.name)
+            and m.name not in reads
+        ]
+    return stale
+
+
+def test_no_test_order_keeps_a_stale_method():
+    assert _stale_order_methods(sorted(ROOT.glob("tests/*.py"))) == []
+
+
+def test_guard_sees_a_stale_order_method(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "class Old(MagnusOrder):\n"
+        "    def _sign_letters(self, letters):\n"
+        "        return 1\n"
+        "class Lex(MagnusOrder):\n"
+        "    def _key(self, letters):\n"
+        "        return letters\n"
+        "    def compare(self, v, w):\n"
+        "        return self._key(v) > self._key(w)\n"
+        "class Reversed(Lex):\n"
+        "    def _key(self, letters):\n"
+        "        return letters[::-1]\n"
+        "    def _unread(self):\n"
+        "        return 0\n"
+        "class Plain:\n"
+        "    def _unread(self):\n"
+        "        return 0\n",
+        encoding="utf-8",
+    )
+    assert _stale_order_methods([sample]) == [
+        "sample.py:2: Old._sign_letters",
+        "sample.py:12: Reversed._unread",
     ]

@@ -13,7 +13,6 @@ from orderword import (
     NotCyclicallyReducedError,
     Word,
     concat,
-    cyclically_reduce,
     identity,
     inverse,
     is_monotonic,
@@ -199,26 +198,6 @@ def test_inverse_is_involution():
     for _ in range(50):
         w = random_reduced(rng, rng.randint(0, 10))
         assert inverse(inverse(w)) == w
-
-
-# ---------------------------------------------------------------- cyclic reduction
-
-def test_cyclically_reduce_goldens():
-    core, conj = cyclically_reduce(P("abA"))
-    assert (str(core), str(conj)) == ("b", "a")
-    core, conj = cyclically_reduce(P("baaba"))
-    assert (str(core), str(conj)) == ("baaba", "1")
-    core, conj = cyclically_reduce(P("aBBA"))
-    assert (str(core), str(conj)) == ("BB", "a")
-
-
-def test_cyclically_reduce_conjugation_identity():
-    rng = random.Random(104)
-    for _ in range(100):
-        w = random_reduced(rng, rng.randint(0, 10))
-        core, conj = cyclically_reduce(w)
-        assert core.is_cyclically_reduced
-        assert concat(conj, core, inverse(conj)) == w
 
 
 # ---------------------------------------------------------------- rotation sets
