@@ -9,7 +9,7 @@ a fixed monomial enumeration gives a total order on words, the
 time by one kernel, :func:`_degrees`, which streams them and stores none: the
 order stops at the first degree where two images differ, and :func:`mu` reads
 an image through its bound. The order reads degrees 1 and 2 from one memoised
-tuple per word first, and memoises the kernel's verdicts. It also keeps the
+int per word first, and memoises the kernel's verdicts. It also keeps the
 prefix signs of one word's rotation set, :class:`CyclicSigns`, which every
 audit reads.
 """
@@ -18,11 +18,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
+from functools import cache
 from itertools import islice
 from typing import Iterator
 from weakref import ref
 
 from .words import FROM_INVERSE, FROM_WORD, Letter, Rotation, Word, _Record, _sorted_rotations
+from .words import identity
+
+_BITS = 64  # keys of degrees 1 and 2 hold one signed field per coefficient, in radix 2**_BITS
 
 # A monomial is the tuple of variable indices read left to right:
 # () is the constant term, (1, 2) is X1*X2, (2, 2) is X2^2.
@@ -235,6 +239,13 @@ _ORDERINGS = (Ordering.EQUAL, Ordering.GREATER, Ordering.LESS)
 _SIGNS = dict(zip(_ORDERINGS, (0, 1, -1)))
 
 
+@cache
+def _place_values(place: tuple[int, ...], r: int, lifted: bool) -> tuple[tuple[int, ...], ...]:
+    """At place p, the shift of the key weight R^(r - 1 - p) and the lift R^(r(r - 1 - p)), or 0."""
+    shifts = tuple(_BITS * (r - 1 - p) for p in place)
+    return shifts, tuple(1 << r * s if lifted else 0 for s in shifts)
+
+
 class MagnusOrder:
     """The series-induced bi-order, with per-instance caching.
 
@@ -260,7 +271,7 @@ class MagnusOrder:
             raise ValueError("cap must be positive")
         self.cap = cap
         self._verdicts: dict[tuple[tuple[Letter, ...], tuple[Letter, ...]], int] = {}
-        self._low: dict[Word, tuple[int, ...]] = {}
+        self._low: dict[Word, int] = {}
         self._table: CyclicSigns | None = None
 
     @property
@@ -271,18 +282,23 @@ class MagnusOrder:
     def compare(self, v: Word, w: Word) -> Ordering:
         """GREATER, EQUAL or LESS as v is above, equal to or below w.
 
-        Each word's low degrees decide first (only degree 1 under a cap of 1),
-        from the memo keyed by the words, whose hash each caches: pairs that
-        differ through degree 2 are decided here. The order is invariant under
-        multiplication on both sides, so words tied through degree 2 tie on their
-        stripped sides too: common ends cancel, and the kernel's verdict on the
-        stripped pair is memoised, a lone side put first.
+        Each word's low degrees decide first, from the memo keyed by the words, whose
+        hash each caches: one int, K * R^(r^2) + Q of the word (see _prefix_keys), whose
+        order is the order through degree 2 (degree 1 under a cap of 1). The order is
+        invariant under multiplication on both sides, so words tied through degree 2
+        tie on their stripped sides too: common ends cancel, and the kernel's verdict
+        on the stripped pair is memoised, a lone side put first.
         """
         if v.rank != w.rank:
             raise ValueError("cannot compare words of different ranks")
         low = self._low
-        a = low.get(v) or low.setdefault(v, self._low_degrees(v.letters))
-        b = low.get(w) or low.setdefault(w, self._low_degrees(w.letters))
+        a, b = low.get(v), low.get(w)
+        if a is None or b is None:
+            for u in (v, w):
+                if u not in low:
+                    keys, _, pairs = self._prefix_keys(u.letters)
+                    low[u] = (keys[-1] << _BITS * self.rank * self.rank) + pairs[-1]
+            a, b = low[v], low[w]
         if a != b:
             return _ORDERINGS[1 if a > b else -1]
         lv, lw = v.letters, w.letters
@@ -304,28 +320,7 @@ class MagnusOrder:
 
     def sign(self, w: Word) -> int:
         """+1, 0 or -1 as w is above, equal to or below the identity of its rank."""
-        return _SIGNS[self.compare(w, Word((), w.rank))]
-
-    def _low_degrees(self, letters: tuple[Letter, ...]) -> tuple[int, ...]:
-        """Components 1 and 2 of the image of letters as one tuple; compare memoises it.
-
-        At rank r, entry p is the exponent sum e_p of the variable at place p and
-        entry r + rp + q the coefficient of X_p X_q, p and q places, so tuple order
-        is the order through degree 2. Appending x_p adds e_q X_q X_p for each q;
-        appending x_p^-1 subtracts them and adds X_p X_p. Under a cap of 1 degree 2
-        may not decide, so only the first r entries are kept.
-        """
-        r, place = self.rank, self._place
-        low = [0] * (r + r * r)
-        for generator, sign in letters:
-            if generator > r:
-                raise ValueError(f"generator {generator} outside rank {r}")
-            p = place[generator]
-            for q in range(r):
-                low[r + r * q + p] += sign * low[q]
-            low[r + r * p + p] += sign < 0
-            low[p] += sign
-        return tuple(low[: r if self.cap == 1 else None])
+        return _SIGNS[self.compare(w, identity(w.rank))]
 
     def _first_difference(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
         """+1 or -1 as the image of lv is above or below that of lw.
@@ -354,34 +349,27 @@ class MagnusOrder:
             f"(lengths {len(lv)} and {len(lw)} without common ends); raise the cap"
         )
 
-    def _weights(self, base: int) -> list[int]:
-        """``base ** (rank - 1 - place[g])`` for each generator g, by repeated multiplication."""
-        powers = [1]
-        for _ in range(self.rank - 1):
-            powers.append(powers[-1] * base)
-        return [powers[self.rank - 1 - p] for p in self._place]
-
     def _prefix_keys(self, letters: tuple[Letter, ...]) -> tuple[list[int], list[int], list[int]]:
         """``(K, A, Q)``: the keys of degrees 1 and 2 of ``()`` and of each prefix of letters.
 
-        Degree 1 of a word's image is its exponent-sum vector (Magnus 1935). K
-        holds it in mixed radix, places in precedence order, radix R = L^2 + 1
-        for L letters: the sign of K[j] - K[i] is the degree-1 sign of
-        letters[i:j], so its sign unless that span is balanced. A holds e_p at
-        R^(r(r - 1 - p)), and Q the coefficient of X_p X_q at R^(r^2 - 1 - rp - q).
-        Appending x_q adds e X_q to degree 2; appending x_q^-1 subtracts it and
-        adds X_q^2. Under a cap of 1 degree 2 may not decide, so A and Q are 0.
+        Degree 1 of a word's image is its exponent-sum vector (Magnus 1935). K holds
+        it in radix R = 2^64, places in precedence order: the sign of K[j] - K[i] is
+        the degree-1 sign of letters[i:j], so its sign unless that span is balanced.
+        A holds e_p at R^(r(r - 1 - p)) and Q the coefficient of X_p X_q at
+        R^(r^2 - 1 - rp - q): x_q adds e X_q, x_q^-1 subtracts it and adds X_q^2, and
+        a cap of 1 keeps both 0. Below 2^32 letters no coefficient, L(L + 1) / 2 at
+        most, reaches 2^63: a key, or a difference of keys, has its first nonzero field's sign.
         """
-        radix = len(letters) ** 2 + 1
-        weight = self._weights(radix)
-        lift = [0] * len(weight) if self.cap == 1 else self._weights(radix**self.rank)
+        if len(letters) >> 32:
+            raise ValueError(f"{len(letters)} letters exceed the key bound of 2**32 - 1")
+        shift, lift = _place_values(self._place, self.rank, self.cap != 1)
         k, a, q, keys, sums, pairs = 0, 0, 0, [0], [0], [0]
         for generator, sign in letters:
             if generator > self.rank:
                 raise ValueError(f"generator {generator} outside rank {self.rank}")
-            q += (a if sign > 0 else lift[generator] - a) * weight[generator]
+            q += (a if sign > 0 else lift[generator] - a) << shift[generator]
             a += sign * lift[generator]
-            k += sign * weight[generator]
+            k += sign << shift[generator]
             keys.append(k)
             sums.append(a)
             pairs.append(q)
@@ -481,7 +469,7 @@ class CyclicSigns:
 
         Its sign is the span's degree-2 sign. By Chen's identity degree 2 of span
         u = [x, y) of W·W is Q[y] - Q[x] - e(x)e(u), and that of u^-1 is e(u)e(u)
-        minus u's. No coefficient of at most n letters reaches R / 4.
+        minus u's. Each field is a coefficient of the span, below 2^63 by _prefix_keys.
         """
         sums, q, keys, n = self._sums, self._q, self._keys, self.n
         if r < n:

@@ -7,6 +7,7 @@ inverses, and the empty word is the group identity.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -147,8 +148,9 @@ class Rotation(NamedTuple):
     origin: str
 
 
+@cache
 def identity(rank: int) -> Word:
-    """The empty word of the given rank."""
+    """The empty word of the given rank, one shared per rank."""
     return Word((), rank)
 
 

@@ -349,6 +349,35 @@ def test_key2_is_off_under_a_cap_of_one():
 
 
 @pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])
+def test_the_sign_table_and_the_memo_share_one_encoding(rank, top):
+    # Every span of every row of every class, the rows of w^-1 included, under
+    # both extremes of precedence, each with and without a cap of 1: the span's
+    # key and key2, packed as compare packs them, are the memo key of its word.
+    # A cap of 1 refuses the table of a class with a balanced span.
+    shift = 64 * rank * rank
+    for precedence, cap in itertools.product((None, tuple(range(rank, 0, -1))), (None, 1)):
+        cmp, tables = MagnusOrder(rank, precedence, cap), 0
+        for n in range(2, top + 1):
+            for w in enumerate_cyclically_reduced(rank, n, dedup="rotation_class"):
+                if is_periodic(w):
+                    continue
+                try:
+                    table = CyclicSigns(w, cmp)
+                except UndecidedAtCapError:
+                    assert cap == 1, str(w)
+                    continue
+                tables += 1
+                for r in range(2 * n):
+                    for i in range(n):
+                        for j in range(i + 1, n + 1):
+                            u = Word(table.letters(r, i, j), rank)
+                            assert cmp.compare(u, u) is Ordering.EQUAL
+                            want = (table.key(r, i, j) << shift) + table.key2(r, i, j)
+                            assert cmp._low[u] == want, (str(w), precedence, cap, r, i, j)
+        assert tables > 100, (precedence, cap)
+
+
+@pytest.mark.parametrize("rank, top", [(2, 7), (3, 5)])
 def test_unique_from_matches_prefix_counts(rank, top):
     # Periodic words and length one included; every row and every length.
     cmp = MagnusOrder(rank)
@@ -561,8 +590,8 @@ def test_a_tied_pair_reaches_the_kernel_once():
     # aBAb and AbaB agree through degree 2 and share no end.
     cmp = KernelLog(2)
     v, w = P("aBAb"), P("AbaB")
-    assert cmp._low_degrees(v.letters) == cmp._low_degrees(w.letters)
     assert [cmp.compare(v, w) for _ in range(2)] == [Ordering.LESS, Ordering.LESS]
+    assert cmp._low[v] == cmp._low[w]
     assert cmp.calls == [(v.letters, w.letters)]
 
 
@@ -577,15 +606,15 @@ def test_a_sign_and_its_comparison_with_the_identity_share_one_verdict():
 
 
 class LowLog(MagnusOrder):
-    """A Magnus order that records every letter row whose low degrees it computes."""
+    """A Magnus order that records every letter row whose prefix keys it computes."""
 
     def __init__(self, rank):
         super().__init__(rank)
         self.lows = []
 
-    def _low_degrees(self, letters):
+    def _prefix_keys(self, letters):
         self.lows.append(letters)
-        return super()._low_degrees(letters)
+        return super()._prefix_keys(letters)
 
 
 def test_equal_words_share_one_low_degree_entry():

@@ -342,16 +342,20 @@ def test_magnus_compare_validation():
 
 @pytest.mark.parametrize("rank, top", [(2, 6), (3, 4)])
 def test_low_degrees_are_components_one_and_two_of_mu(rank, top):
-    # Entry p is the coefficient of the variable at place p, entry
-    # rank + rank * p + q that of the degree-2 monomial at places (p, q).
+    # The memo key packs one field of 2^64 per cell, most significant first:
+    # the coefficient of the variable at place p, then that of the degree-2
+    # monomial at places (p, q). A cap of 1 keeps only the degree-1 fields.
     words = [w for n in range(0, top + 1) for w in all_reduced(rank, n)]
     cells = [(p,) for p in range(rank)] + list(product(range(rank), repeat=2))
+    weights = [2 ** (64 * k) for k in range(len(cells) - 1, -1, -1)]
     for precedence in permutations(range(1, rank + 1)):
-        order = MagnusOrder(rank, precedence)
+        order, capped = MagnusOrder(rank, precedence), MagnusOrder(rank, precedence, cap=1)
         for w in words:
             parts = _homogeneous_parts(oracle.mu(w, 2), order._place, 2)
-            expected = tuple(parts[len(cell)].get(cell, 0) for cell in cells)
-            assert order._low_degrees(w.letters) == expected, (str(w), precedence)
+            packed = [parts[len(cell)].get(cell, 0) * x for cell, x in zip(cells, weights)]
+            for cmp, want in ((order, sum(packed)), (capped, sum(packed[:rank]))):
+                assert cmp.compare(w, w) is Ordering.EQUAL
+                assert cmp._low[w] == want, (str(w), precedence, cmp.cap)
 
 
 def test_undecided_at_cap_is_loud():
@@ -506,15 +510,15 @@ def test_series_text_matches_reference_product(rank, top, degrees):
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["canonical", "reversed"])
 def test_prefix_keys_equal_one_power_per_place(reverse):
-    # The weights are built by repeated multiplication; the keys must be the
-    # integers of one power per place, at every text rank, for a word that
-    # uses every generator, under both extremes of precedence.
+    # The weights are shifts computed once per precedence; the keys must be the
+    # integers of one power of R = 2^64 per place, at every text rank, for a
+    # word that uses every generator, under both extremes of precedence.
     rng = random.Random(2626)
     for rank in range(1, 27):
         cmp = MagnusOrder(rank, tuple(range(rank, 0, -1)) if reverse else None)
         letters = random_reduced(rng, 2 * rank, rank).letters
         letters += tuple(Letter(g, (-1) ** g) for g in range(1, rank + 1))
-        radix, place = len(letters) ** 2 + 1, cmp._place
+        radix, place = 2**64, cmp._place
         weight = [radix ** (rank - 1 - p) for p in place]
         lift = [radix ** (rank * (rank - 1 - p)) for p in place]
         keys, a, q, sums, pairs = [0], 0, 0, [0], [0]
@@ -525,6 +529,16 @@ def test_prefix_keys_equal_one_power_per_place(reverse):
             sums.append(a)
             pairs.append(q)
         assert cmp._prefix_keys(letters) == (keys, sums, pairs), rank
+
+
+def test_prefix_keys_refuse_two_to_the_32_letters():
+    # Below 2^32 letters no key field reaches 2^63. A range holds no letters, so
+    # one just below the bound gets past the check and fails on its first item.
+    cmp = MagnusOrder(2)
+    with pytest.raises(ValueError, match="^4294967296 letters exceed the key bound"):
+        cmp._prefix_keys(range(1 << 32))
+    with pytest.raises(TypeError):
+        cmp._prefix_keys(range((1 << 32) - 1))
 
 
 @pytest.mark.parametrize(
