@@ -7,11 +7,11 @@ exactly at every bound. Comparing two series coefficient-by-coefficient along
 a fixed monomial enumeration gives a total order on words, the
 :class:`MagnusOrder`. Word images are grown one homogeneous component at a
 time by one kernel, :func:`_degrees`, which streams them and stores none: the
-order stops at the first degree where two images differ, and :func:`mu` reads
-an image through its bound. The order reads degrees 1 and 2 from one memoised
-int per word first, and memoises the kernel's verdicts. It also keeps the
-prefix signs of one word's rotation set, :class:`CyclicSigns`, which every
-audit reads.
+order of v and w stops at the first degree where the image of w^-1 v leaves 1,
+and :func:`mu` reads an image through its bound. The order reads degrees 1 and
+2 from one memoised int per word first, and memoises the kernel's verdicts. It
+also keeps the prefix signs of one word's rotation set, :class:`CyclicSigns`,
+which every audit reads.
 """
 
 from __future__ import annotations
@@ -325,25 +325,19 @@ class MagnusOrder:
     def _first_difference(self, lv: tuple[Letter, ...], lw: tuple[Letter, ...]) -> int:
         """+1 or -1 as the image of lv is above or below that of lw.
 
-        The two letter sequences must differ and must not start with the same
-        letter, so that lw^-1 * lv is reduced as written.
-
-        Degrees 1, 2, ... are compared in turn up to the cap, and the first
-        degree whose components differ decides at its least differing monomial.
-        The default cap is the syllable count of lw^-1 * lv: if that reduced word
-        is x_i1^e1 ... x_ik^ek with adjacent generators distinct, its image has
-        the coefficient e1*...*ek != 0 at X_i1...X_ik (Magnus 1935), so the
-        images of lv and lw differ at degree k or below and only an explicit cap
-        can run out. Reversing lw keeps its generator sequence aligned with
-        lw^-1, and the junction with lv cannot cancel since the first letters differ.
+        The two letter sequences must differ and must not start with the same letter,
+        so that u = lw^-1 * lv is reduced as written. As mu(lv) - mu(lw) is mu(lw) *
+        (mu(u) - 1) and mu(lw) is 1 plus higher terms, the images first differ where
+        mu(u) - 1 first is nonzero: at its least degree and least monomial, with its
+        sign. The default cap is the syllable count k of u: the image of x_i1^e1 ...
+        x_ik^ek, adjacent generators distinct, has the coefficient e1*...*ek != 0 at
+        X_i1...X_ik (Magnus 1935), so only an explicit cap can run out.
         """
-        cap = self.cap or _syllable_count(lw[::-1] + lv)
-        images = zip(_degrees(lv, self._place), _degrees(lw, self._place))
-        for a, b in islice(images, 1, cap + 1):
-            a, b = a[-1], b[-1]
-            if a != b:
-                first, _ = min(a.items() ^ b.items())
-                return 1 if a.get(first, 0) > b.get(first, 0) else -1
+        u = tuple(letter.inverse() for letter in reversed(lw)) + lv
+        cap = self.cap or _syllable_count(u)
+        for parts in islice(_degrees(u, self._place), 1, cap + 1):
+            if parts[-1]:
+                return 1 if parts[-1][min(parts[-1])] > 0 else -1
         raise UndecidedAtCapError(
             f"distinct words compared equal up to the cap of degree {cap} "
             f"(lengths {len(lv)} and {len(lw)} without common ends); raise the cap"

@@ -368,6 +368,16 @@ def test_undecided_at_cap_is_loud():
     # ab and ba share their exponent sums and differ first at X1X2, degree 2.
     with pytest.raises(UndecidedAtCapError, match="cap of degree 1"):
         MagnusOrder(2, cap=1).compare(P("ab"), P("ba"))
+    # An undecided call keeps no verdict, so a later call raises again, with the same text.
+    order = MagnusOrder(2, cap=1)
+    for call in (lambda: order.compare(P("ab"), P("ba")), lambda: order.sign(P("abAB"))):
+        texts = set()
+        for _ in range(2):
+            with pytest.raises(UndecidedAtCapError) as caught:
+                call()
+            texts.add(str(caught.value))
+            assert order._verdicts == {}
+        assert len(texts) == 1
     for cap in (2, None):
         assert MagnusOrder(2, cap=cap).compare(P("ab"), P("ba")) is Ordering.GREATER
 
@@ -398,6 +408,29 @@ def test_commutators_decide_at_their_weight(precedence, monkeypatch):
             with pytest.raises(UndecidedAtCapError):
                 MagnusOrder(2, precedence, cap=k - 1)._first_difference(c.letters, ())
     assert len(c) == 128
+
+
+def test_a_verdict_streams_the_one_word_lw_inverse_lv(monkeypatch):
+    # mu(v) - mu(w) = mu(w)(mu(w^-1 v) - 1), so one image decides: that of the
+    # stripped sides' lw^-1 * lv, reduced as written.
+    v, w = P("aBAb"), P("AbaB")
+    c3 = concat(P("abAB"), P("b"), P("baBA"), P("B"))  # [[a, b], b]
+    assert str(c3) == "abAbaBAB"
+    expected = compare_series(oracle.mu(v, 8), oracle.mu(w, 8))
+    expected_sign = compare_series(oracle.mu(c3, 3), oracle.mu(identity(2), 3))
+    streamed = []
+
+    def logged(letters, place):
+        streamed.append(letters)
+        return _degrees(letters, place)
+
+    monkeypatch.setattr("orderword.series._degrees", logged)
+    order = MagnusOrder(2)
+    assert order.compare(v, w) is expected
+    assert streamed == [P("bABaaBAb").letters]
+    streamed.clear()
+    assert order.sign(c3) == (1 if expected_sign is Ordering.GREATER else -1)
+    assert streamed == [c3.letters]
 
 
 def test_order_matches_reference_series():
