@@ -267,6 +267,8 @@ class MagnusOrder:
         self.rank = rank
         self._place = _places(precedence, rank)
         self.precedence = None if precedence is None else tuple(precedence)
+        # Claim 3, D = 1 iff W is monotonic, is proved under the canonical precedence only.
+        self.checks_monotonic = precedence is None or self.precedence == tuple(range(1, rank + 1))
         if cap is not None and cap < 1:
             raise ValueError("cap must be positive")
         self.cap = cap

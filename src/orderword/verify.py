@@ -254,11 +254,6 @@ def _weinbaum_count(unique_from: list[int]) -> int:
     return count
 
 
-def _checks_monotonic(cmp: MagnusOrder) -> bool:
-    """True iff claim 3, D = 1 iff W is monotonic, is checked under cmp's precedence."""
-    return cmp.precedence in (None, tuple(range(1, cmp.rank + 1)))
-
-
 def _unaudited(w: Word, anomaly: Anomaly) -> WordReport:
     """Report on a word whose decomposition could not be audited."""
     return WordReport(
@@ -356,8 +351,8 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
                     )
                 )
 
-    # Under the series order, an empty descent must coincide with monotonicity.
-    if _checks_monotonic(cmp) and dec.descent_empty != monotonic:
+    # Where the order audits claim 3, an empty descent must coincide with monotonicity.
+    if cmp.checks_monotonic and dec.descent_empty != monotonic:
         anomalies.append(
             Anomaly(
                 "monotonic_descent_mismatch",
@@ -518,7 +513,7 @@ def run_campaign(
     counterexamples = [bad for _, bad in sorted(chain.from_iterable(found), key=lambda kb: kb[0])]
     mismatch = {n: [c, by_length[n]] for n, c in closed_form.items() if c != by_length[n]}
     checks = ["unique_ascent", "descent_placement"]
-    if _checks_monotonic(cmp):
+    if cmp.checks_monotonic:
         checks.append("monotonic_descent")
     checks += ["host_structure", "overlap_structure", "weinbaum"]
     report = CampaignReport(

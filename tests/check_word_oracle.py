@@ -36,6 +36,7 @@ and sorted rows only for the positional lookups it inherits: ``starts``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from orderword.analysis import (
     AscentPlacementError,
@@ -166,10 +167,22 @@ def _locate(ascent_letters: tuple[Letter, ...], elements: tuple[Rotation, ...], 
     raise AscentPlacementError("maximal ascent vanished from its own rotation set")
 
 
+@cache
+def _ascent_letters(cmp: MagnusOrder, words: frozenset[Word]) -> frozenset[tuple[Letter, ...]]:
+    # The letters of every ascent subword of the rotation class made of words. Every
+    # word of a class has the same subwords, so each class is classified once.
+    found = set()
+    for u in words:
+        spans, _ = ascent_descent_spans(u, cmp)
+        found.update(u.letters[i:j] for i, j in spans)
+    return frozenset(found)
+
+
 def maximal_ascent(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> MaximalAscent:
     """The unique order-largest ascent over all subwords of the rotation set of w.
 
-    ``algorithm="bruteforce"`` classifies every subword of every rotation;
+    ``algorithm="bruteforce"`` classifies every subword of every rotation,
+    once per rotation class and order;
     ``"peaklow"`` takes, per rotation, the slice from the low prefix to the
     peak prefix. Both must return the same word; among rotations containing
     it, the first in rotation-set order is reported as host.
@@ -179,10 +192,7 @@ def maximal_ascent(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Max
     elements = rotation_set(w)
     candidates: set[tuple[Letter, ...]] = set()
     if algorithm == "bruteforce":
-        for element in elements:
-            letters = element.word.letters
-            spans, _ = ascent_descent_spans(element.word, cmp)
-            candidates.update(letters[i:j] for i, j in spans)
+        candidates.update(_ascent_letters(cmp, frozenset(e.word for e in elements)))
     elif algorithm == "peaklow":
         for element in elements:
             low, peak = prefix_profile(element.word, cmp)
@@ -199,7 +209,7 @@ def maximal_ascent(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Max
     return _locate(best.letters, elements, w.rank)
 
 
-def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decomposition:
+def decompose(w: Word, cmp: MagnusOrder) -> Decomposition:
     """Split a rotation of w (or of w^-1) as maximal ascent times descent.
 
     Requires a cyclically reduced, nonperiodic word of length > 1. The chosen
@@ -212,7 +222,7 @@ def decompose(w: Word, cmp: MagnusOrder, algorithm: str = "peaklow") -> Decompos
         raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
     if is_periodic(w):
         raise PeriodicWordError(f"{w!r} is a proper power")
-    found = maximal_ascent(w, cmp, algorithm=algorithm)
+    found = maximal_ascent(w, cmp)
     elements = rotation_set(w)
     ascent_letters = found.ascent.letters
     chosen = origin = None
@@ -288,8 +298,8 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
 
     Precondition violations (empty, length one, periodic, not cyclically
     reduced) raise; everything the decomposition asserts about a valid word is
-    verified here and reported, never raised. Claim 3 is checked under the
-    canonical variable precedence only.
+    verified here and reported, never raised. Claim 3 is checked only where
+    the order's ``checks_monotonic`` says so.
     """
     try:
         dec = decompose(w, cmp)
@@ -336,9 +346,8 @@ def check_word(w: Word, cmp: MagnusOrder) -> WordReport:
                     )
                 )
 
-    # Under the series order, an empty descent must coincide with monotonicity.
-    canonical = cmp.precedence is None or cmp.precedence == tuple(range(1, cmp.rank + 1))
-    if canonical and dec.descent_empty != monotonic:
+    # Where the order audits claim 3, an empty descent must coincide with monotonicity.
+    if cmp.checks_monotonic and dec.descent_empty != monotonic:
         anomalies.append(
             Anomaly(
                 "monotonic_descent_mismatch",

@@ -47,8 +47,19 @@ def _inverse(letters):
     return tuple(l.inverse() for l in reversed(letters))
 
 
-class LexOrder(MagnusOrder):
-    """An antisymmetric sign that is not bi-invariant: u > 1 iff u >lex u^-1."""
+class LexOrder:
+    """An antisymmetric sign that is not bi-invariant: u > 1 iff u >lex u^-1.
+
+    It is no MagnusOrder, so the audits reach it only through compare, sign,
+    _cyclic_signs and checks_monotonic; reading any other member would raise.
+    """
+
+    checks_monotonic = True
+    sign = MagnusOrder.sign
+
+    def __init__(self, rank):
+        self.rank = rank
+        self._table = None
 
     def _key(self, letters):
         return _codes(letters)
@@ -213,6 +224,27 @@ def test_check_word_matches_oracle_without_bi_invariance(order_type):
         "descent_occurrence_outside_ascent",
         "maximal_ascent_not_ascent",
     } <= set(labels)
+
+
+class UnauditedLexOrder(LexOrder):
+    """LexOrder, except that it does not audit claim 3."""
+
+    checks_monotonic = False
+
+
+def test_claim_three_is_audited_where_the_order_says():
+    # Claim 3 is proved for the Magnus order only. LexOrder audits it anyway, and
+    # it fails for 27 of the 97 rank-2 classes up to length 6, abaB among them.
+    mismatched = {}
+    for order in (LexOrder(2), UnauditedLexOrder(2)):
+        mismatched[order.checks_monotonic] = [
+            str(w)
+            for w in _classes(2, 6)
+            if "monotonic_descent_mismatch"
+            in {a["label"] for a in _assert_same(w, order)["anomalies"]}
+        ]
+    assert len(mismatched[True]) == 27 and "abaB" in mismatched[True]
+    assert mismatched[False] == []
 
 
 @pytest.mark.parametrize(

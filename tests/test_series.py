@@ -626,7 +626,7 @@ def test_no_module_imports_private_series_names():
             {"_prefix_keys", "cap", "sign"},
         ),
         ("analysis.py", None, ("cmp",), {"_cyclic_signs", "compare", "sign"}),
-        ("verify.py", None, ("cmp",), {"_cyclic_signs", "rank", "precedence", "description"}),
+        ("verify.py", None, ("cmp",), {"_cyclic_signs", "checks_monotonic", "description"}),
     ],
     ids=["sign-table", "analysis", "verify"],
 )

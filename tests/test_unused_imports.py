@@ -2,7 +2,8 @@
 
 Every private module-level name, private method and private ``self`` attribute of
 the library is also read somewhere in it. Every method of an order that a test
-derives from ``MagnusOrder`` overrides one of its members or is called by the order.
+derives from ``MagnusOrder``, or that defines its own ``compare``, overrides one of
+its members or is called by the order.
 """
 
 from __future__ import annotations
@@ -147,7 +148,10 @@ def test_guard_sees_an_unused_private_name(tmp_path):
 
 
 def _stale_order_methods(paths: list[Path]) -> list[str]:
-    """The methods of ``MagnusOrder`` subclasses in ``paths`` that nothing reaches.
+    """The methods of the orders in ``paths`` that nothing reaches.
+
+    An order is a ``MagnusOrder`` subclass, or a class that defines ``compare`` and
+    derives from none, as the test orders that are no ``MagnusOrder`` do.
 
     A method counts as reached when ``MagnusOrder`` has a member of its name, or
     when the class or one of its bases in ``paths`` reads it through ``self``. A
@@ -160,7 +164,7 @@ def _stale_order_methods(paths: list[Path]) -> list[str]:
                 classes[node.name] = (path.name, node)
 
     def lineage(name: str) -> list[ast.ClassDef] | None:
-        # The class and its bases in paths if it derives from MagnusOrder, else None.
+        # The class and its bases in paths if it is an order, else None.
         if name == "MagnusOrder":
             return []
         node = classes.get(name, (None, None))[1]
@@ -168,6 +172,10 @@ def _stale_order_methods(paths: list[Path]) -> list[str]:
             above = lineage(base.id) if isinstance(base, ast.Name) else None
             if above is not None:
                 return [node, *above]
+        if node and not node.bases and any(
+            isinstance(m, ast.FunctionDef) and m.name == "compare" for m in node.body
+        ):
+            return [node]
         return None
 
     stale = []
@@ -193,6 +201,22 @@ def _stale_order_methods(paths: list[Path]) -> list[str]:
 
 def test_no_test_order_keeps_a_stale_method():
     assert _stale_order_methods(sorted(ROOT.glob("tests/*.py"))) == []
+
+
+def test_guard_follows_an_order_that_is_no_magnus_order(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "class Lex:\n"
+        "    def compare(self, v, w):\n"
+        "        return self._key(v) > self._key(w)\n"
+        "    def _key(self, letters):\n"
+        "        return letters\n"
+        "class Reversed(Lex):\n"
+        "    def _unread(self):\n"
+        "        return 0\n",
+        encoding="utf-8",
+    )
+    assert _stale_order_methods([sample]) == ["sample.py:7: Reversed._unread"]
 
 
 def test_guard_sees_a_stale_order_method(tmp_path):

@@ -389,6 +389,16 @@ def test_campaign_swapped_precedence_drops_monotonic_check():
     assert report.order == "magnus(x2>x1)"
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_magnus_order_audits_claim_three_under_the_canonical_precedence_only(rank):
+    # Claim 3 is proved for the Magnus order under the canonical precedence, at any cap.
+    canonical = tuple(range(1, rank + 1))
+    for precedence in [None, *itertools.permutations(canonical)]:
+        for cap in (None, 1, 2):
+            audits = MagnusOrder(rank, precedence, cap).checks_monotonic
+            assert audits is (precedence in (None, canonical)), (precedence, cap)
+
+
 def test_campaign_dedup_none_scales_by_class_size():
     by_class = run_campaign(2, 3, 3)
     paranoid = run_campaign(2, 3, 3, dedup="none")
