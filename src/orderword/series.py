@@ -9,9 +9,10 @@ a fixed monomial enumeration gives a total order on words, the
 time by one kernel, :func:`_degrees`, which streams them and stores none: the
 order of v and w stops at the first degree where the image of w^-1 v leaves 1,
 and :func:`mu` reads an image through its bound. The order reads degrees 1 and
-2 from one memoised int per word first, and memoises the kernel's verdicts. It
-also keeps the prefix signs of one word's rotation set, :class:`CyclicSigns`,
-which every audit reads.
+2 from one memoised int per word first, then degree 3 from a memoised tuple of
+its Lyndon coefficients, and memoises the kernel's verdicts. It also keeps the
+prefix signs of one word's rotation set, :class:`CyclicSigns`, which every
+audit reads.
 """
 
 from __future__ import annotations
@@ -240,6 +241,25 @@ _SIGNS = dict(zip(_ORDERINGS, (0, 1, -1)))
 
 
 @cache
+def _lyndon_trie(r: int) -> tuple[list[Monomial], list[list[tuple[int, int]]], int]:
+    """The trie of the prefixes of the Lyndon words of length <= 3 over r places.
+
+    Its nodes, by length, then lexicographically, are (), (a), (a, b) for a <= b and
+    a < r - 1, and from index ``top`` on the Lyndon words (a, b, c) with a <= b and
+    a < c, (r^3 - r) / 3 of them (Witt). ``steps[x]`` pairs each node m·x with node m,
+    deepest first.
+    """
+    nodes = [()] + [(a,) for a in range(r)] + [(a, b) for a in range(r - 1) for b in range(a, r)]
+    top = len(nodes)
+    nodes += [m + (c,) for m in nodes[r + 1 :] for c in range(m[0] + 1, r)]
+    index = {m: i for i, m in enumerate(nodes)}
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    for i in range(len(nodes) - 1, 0, -1):
+        steps[nodes[i][-1]].append((i, index[nodes[i][:-1]]))
+    return nodes, steps, top
+
+
+@cache
 def _place_values(place: tuple[int, ...], r: int, lifted: bool) -> tuple[tuple[int, ...], ...]:
     """At place p, the shift of the key weight R^(r - 1 - p) and the lift R^(r(r - 1 - p)), or 0."""
     shifts = tuple(_BITS * (r - 1 - p) for p in place)
@@ -274,6 +294,7 @@ class MagnusOrder:
         self.cap = cap
         self._verdicts: dict[tuple[tuple[Letter, ...], tuple[Letter, ...]], int] = {}
         self._low: dict[Word, int] = {}
+        self._lyndon: dict[Word, tuple[int, ...]] = {}
         self._table: CyclicSigns | None = None
 
     @property
@@ -286,10 +307,12 @@ class MagnusOrder:
 
         Each word's low degrees decide first, from the memo keyed by the words, whose
         hash each caches: one int, K * R^(r^2) + Q of the word (see _prefix_keys), whose
-        order is the order through degree 2 (degree 1 under a cap of 1). The order is
-        invariant under multiplication on both sides, so words tied through degree 2
-        tie on their stripped sides too: common ends cancel, and the kernel's verdict
-        on the stripped pair is memoised, a lone side put first.
+        order is the order through degree 2 (degree 1 under a cap of 1). Where the cap
+        admits degree 3, a tie there is decided by a second memo, the words' Lyndon
+        coefficients of degree 3 (see _lyndon_key). The order is invariant under
+        multiplication on both sides, so words tied through the memos tie on their
+        stripped sides too: common ends cancel, and the kernel's verdict on the
+        stripped pair is memoised, a lone side put first.
         """
         if v.rank != w.rank:
             raise ValueError("cannot compare words of different ranks")
@@ -303,6 +326,15 @@ class MagnusOrder:
             a, b = low[v], low[w]
         if a != b:
             return _ORDERINGS[1 if a > b else -1]
+        if self.cap is None or self.cap > 2:
+            lyndon = self._lyndon
+            a, b = lyndon.get(v), lyndon.get(w)
+            if a is None:
+                a = lyndon[v] = self._lyndon_key(v.letters)
+            if b is None:
+                b = lyndon[w] = self._lyndon_key(w.letters)
+            if a != b:
+                return _ORDERINGS[1 if a > b else -1]
         lv, lw = v.letters, w.letters
         n = min(len(lv), len(lw))
         head = 0
@@ -344,6 +376,22 @@ class MagnusOrder:
             f"distinct words compared equal up to the cap of degree {cap} "
             f"(lengths {len(lv)} and {len(lw)} without common ends); raise the cap"
         )
+
+    def _lyndon_key(self, letters: tuple[Letter, ...]) -> tuple[int, ...]:
+        """The coefficients of the Lyndon words of length 3 in the image of letters, in order.
+
+        Where two images tie through degree 2, their degree-3 difference is a Lie
+        polynomial, whose least monomial is a Lyndon word (Chen-Fox-Lyndon 1958), so these
+        tuples order them through degree 3. Over the trie, x_g adds the coefficient of m to
+        that of m·X_g, deepest node first; x_g^-1 subtracts the new one, shallowest first.
+        """
+        nodes, steps, top = _lyndon_trie(self.rank)
+        c, place = [1] + [0] * (len(nodes) - 1), self._place
+        for generator, sign in letters:
+            pairs = steps[place[generator]]
+            for i, j in pairs if sign > 0 else reversed(pairs):
+                c[i] += sign * c[j]
+        return tuple(c[top:])
 
     def _prefix_keys(self, letters: tuple[Letter, ...]) -> tuple[list[int], list[int], list[int]]:
         """``(K, A, Q)``: the keys of degrees 1 and 2 of ``()`` and of each prefix of letters.

@@ -6,6 +6,7 @@ import functools
 import gc
 import itertools
 import random
+import re
 
 import pytest
 
@@ -526,15 +527,23 @@ def test_generator_outside_the_order_rank_is_refused(audit):
 
 
 def _low_parts(place, letters):
-    # Components 1 and 2 of the image of letters.
-    return [_component(place, letters, 1)[-1], _component(place, letters, 2)[-1]]
+    # Components 1, 2 and 3 of the image of letters.
+    return [parts[-1] for parts in itertools.islice(_degrees(letters, place), 1, 4)]
+
+
+def _left_normed(k):
+    # c_1 = a and c_k = [c_(k-1), b], which ties with the identity through degree k - 1.
+    c = P("a")
+    for _ in range(k - 1):
+        c = concat(c, P("b"), inverse(c), P("B"))
+    return c
 
 
 class KernelLog(MagnusOrder):
     """A Magnus order that records every pair its series kernel compares."""
 
-    def __init__(self, rank, precedence=None):
-        super().__init__(rank, precedence)
+    def __init__(self, rank, precedence=None, cap=None):
+        super().__init__(rank, precedence, cap)
         self.calls = []
 
     def _first_difference(self, lv, lw):
@@ -545,64 +554,132 @@ class KernelLog(MagnusOrder):
 @pytest.mark.parametrize("rank, top", [(2, 9), (3, 6)])
 @pytest.mark.parametrize("swap", [False, True], ids=["canonical", "swapped"])
 def test_maximal_ascent_sends_only_ties_to_the_kernel(rank, top, swap):
-    # The table signs through the kernel only the balanced prefixes whose
+    # The table signs through the order only the balanced prefixes whose
     # degree 2 is zero, and the search compares two candidates there only
-    # when their exponent-sum and degree-2 keys both tie: every kernel call
-    # has the same components through degree 2 on its two stripped sides, so
-    # a lone side in the verdict memo has degrees 1 and 2 zero.
+    # when their exponent-sum and degree-2 keys both tie. The order decides
+    # those by their Lyndon coefficients of degree 3 first: every kernel call
+    # has the same components through degree 3 on its two stripped sides, so
+    # a lone side in the verdict memo has degrees 1 to 3 zero.
     cmp = KernelLog(rank, tuple(range(rank, 0, -1)) if swap else None)
     for n in range(2, top + 1):
         for w in enumerate_cyclically_reduced(rank, n, dedup="rotation_class"):
             if not is_periodic(w):
                 maximal_ascent(w, cmp)
-    assert cmp.calls
+    assert cmp._lyndon
     # Each pair reached the kernel once, and keys its memoised verdict.
     assert len(cmp.calls) == len(set(cmp.calls)) and set(cmp.calls) == set(cmp._verdicts)
     for lv, lw in cmp.calls:
         assert _low_parts(cmp._place, lv) == _low_parts(cmp._place, lw)
-    # A rank-2 2..9 campaign makes 76 kernel calls (85 swapped), and a
-    # rank-3 2..6 one makes 22 (26); without the verdict memo they made 94,
-    # 104, 24 and 29, with degree 1 alone 1,931, 2,031 and 1,410 (canonical
-    # rank 3), and with every candidate comparison in the kernel 5,055 at rank 2.
-    assert len(cmp.calls) <= (200 if rank == 2 else 50)
+    # A rank-2 2..9 campaign makes 6 kernel calls (8 swapped), and a rank-3
+    # 2..6 one makes none. With degrees 1 and 2 memoised alone they made 76,
+    # 85, 22 and 26; without the verdict memo 94, 104, 24 and 29, with degree 1
+    # alone 1,931, 2,031 and 1,410 (canonical rank 3), and with every candidate
+    # comparison in the kernel 5,055 at rank 2.
+    assert len(cmp.calls) == {(2, False): 6, (2, True): 8, (3, False): 0, (3, True): 0}[rank, swap]
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["canonical", "swapped"])
 def test_compare_sends_only_degree_two_ties_to_the_kernel(swap):
     # Every pair that the low degrees separate is decided without stripping,
-    # so the kernel sees only stripped sides that agree through degree 2.
+    # and a pair tied there by its Lyndon coefficients of degree 3, so the
+    # kernel sees only stripped sides that agree through degree 3. No pair of
+    # words of length <= 4 gets that far (64 did, under either precedence,
+    # with degrees 1 and 2 memoised alone); c_4 = [c_3, b] against the
+    # identity, and AABBAba against abABBAA, which share no end, do.
     precedence = (2, 1) if swap else None
     cmp = KernelLog(2, precedence)
     words = [w for n in range(0, 5) for w in all_reduced(2, n)]
     for v, w in itertools.product(words, repeat=2):
         cmp.compare(v, w)
-    assert cmp.calls and len(cmp.calls) == len(set(cmp.calls))
+    assert cmp.calls == []
+    for v, w in ((_left_normed(4), identity(2)), (P("AABBAba"), P("abABBAA"))):
+        assert cmp.compare(v, w) is not Ordering.EQUAL
+    assert len(cmp.calls) == 2 and len(cmp.calls) == len(set(cmp.calls))
     for lv, lw in cmp.calls:
         assert _low_parts(cmp._place, lv) == _low_parts(cmp._place, lw)
-    # Pairs that differ through degree 2 never reach the verdict memo.
-    for v, w in ((P("a"), P("b")), (P("ab"), P("ba"))):
+    # Pairs that differ through degree 3 never reach the verdict memo.
+    for v, w in (
+        (P("a"), P("b")),
+        (P("ab"), P("ba")),
+        (_left_normed(3), identity(2)),
+        (P("aBAb"), P("AbaB")),
+    ):
         order = MagnusOrder(2, precedence)
         assert order.compare(v, w) is not Ordering.EQUAL
         assert order._verdicts == {}
 
 
 def test_a_tied_pair_reaches_the_kernel_once():
-    # aBAb and AbaB agree through degree 2 and share no end.
+    # AABBAba and abABBAA agree through degree 3 and share no end.
     cmp = KernelLog(2)
-    v, w = P("aBAb"), P("AbaB")
+    v, w = P("AABBAba"), P("abABBAA")
     assert [cmp.compare(v, w) for _ in range(2)] == [Ordering.LESS, Ordering.LESS]
-    assert cmp._low[v] == cmp._low[w]
+    assert cmp._low[v] == cmp._low[w] and cmp._lyndon[v] == cmp._lyndon[w]
     assert cmp.calls == [(v.letters, w.letters)]
 
 
 def test_a_sign_and_its_comparison_with_the_identity_share_one_verdict():
-    # c_3 = [[a, b], b] is tied with the identity through degree 2.
+    # c_4 = [[[a, b], b], b] is tied with the identity through degree 3.
     cmp = KernelLog(2)
-    u = concat(P("abAB"), P("b"), inverse(P("abAB")), P("B"))
+    u = _left_normed(4)
     sign = cmp.sign(u)
     assert sign in (1, -1)
     assert cmp.compare(identity(2), u) is (Ordering.LESS if sign > 0 else Ordering.GREATER)
     assert cmp.calls == [(u.letters, ())]
+
+
+def _strip(lv, lw):
+    # The two sides of a pair of letter rows without their common ends.
+    n = min(len(lv), len(lw))
+    head = next((i for i in range(n) if lv[i] != lw[i]), n)
+    tail = next((i for i in range(n - head) if lv[-1 - i] != lw[-1 - i]), n - head)
+    return lv[head : len(lv) - tail], lw[head : len(lw) - tail]
+
+
+@pytest.mark.parametrize("rank, top, pairs, calls", [(2, 7, 59_984, 336), (3, 4, 1_152, 0)])
+def test_degree_two_ties_decide_as_the_kernel_does(rank, top, pairs, calls):
+    # Every ordered pair of distinct reduced words whose components through
+    # degree 2 agree, under every precedence: compare gives the kernel's verdict
+    # on the stripped pair, and only pairs that also agree at degree 3 reach it:
+    # 336 per rank-2 precedence and none at rank 3, where with degrees 1 and 2
+    # memoised alone 12,712 and 192 stripped pairs did.
+    words = [w for n in range(top + 1) for w in all_reduced(rank, n)]
+    tied = 0
+    for precedence in itertools.permutations(range(1, rank + 1)):
+        cmp, kernel = KernelLog(rank, precedence), MagnusOrder(rank, precedence)
+        groups = {}
+        for w in words:
+            low = _low_parts(cmp._place, w.letters)[:2]
+            groups.setdefault(tuple(tuple(sorted(part.items())) for part in low), []).append(w)
+        for group in groups.values():
+            for v, w in itertools.permutations(group, 2):
+                lv, lw = _strip(v.letters, w.letters)
+                want = kernel._first_difference(lv, lw) if lv else -kernel._first_difference(lw, lv)
+                assert cmp.compare(v, w) is (Ordering.GREATER if want > 0 else Ordering.LESS)
+                tied += 1
+        for lv, lw in cmp.calls:
+            assert _low_parts(cmp._place, lv) == _low_parts(cmp._place, lw)
+        assert len(cmp.calls) == calls
+    assert tied == pairs
+
+
+def test_the_degree_three_key_waits_for_a_cap_of_three():
+    # c_3 = [[a, b], b] ties with the identity through degree 2 and differs at
+    # degree 3: caps of 1 and 2 leave it to the kernel, which raises as before,
+    # and a cap of 3 lets its Lyndon coefficients decide it.
+    c3 = _left_normed(3)
+    for cap in (1, 2):
+        cmp = KernelLog(2, cap=cap)
+        text = (
+            f"distinct words compared equal up to the cap of degree {cap} "
+            "(lengths 8 and 0 without common ends); raise the cap"
+        )
+        with pytest.raises(UndecidedAtCapError, match=f"^{re.escape(text)}$"):
+            cmp.compare(c3, identity(2))
+        assert cmp._lyndon == {} and cmp.calls == [(c3.letters, ())]
+    cmp = KernelLog(2, cap=3)
+    assert cmp.compare(c3, identity(2)) is MagnusOrder(2).compare(c3, identity(2))
+    assert cmp.calls == [] and list(cmp._lyndon) == [c3, identity(2)]
 
 
 class LowLog(MagnusOrder):
@@ -657,7 +734,7 @@ def test_the_low_degree_memo_is_keyed_by_words_only_through_compare():
 
 
 def test_a_sign_table_that_outlives_its_order_refuses_kernel_signs():
-    # c_3 = [[a, b], b] is balanced with degree 2 zero, so only the kernel signs it.
+    # c_3 = [[a, b], b] is balanced with degree 2 zero, so only the order signs it.
     c3 = concat(P("abAB"), P("b"), inverse(P("abAB")), P("B"))
     w = concat(c3, P("aa"))
     cells = [(r, l) for r in range(2 * len(w)) for l in range(1, len(w) + 1)]

@@ -29,7 +29,7 @@ from orderword import (
     parse_word,
     series_text,
 )
-from orderword.series import _degrees, _places
+from orderword.series import _degrees, _lyndon_trie, _places
 from wordgen import all_reduced, random_reduced
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
@@ -358,6 +358,39 @@ def test_low_degrees_are_components_one_and_two_of_mu(rank, top):
                 assert cmp._low[w] == want, (str(w), precedence, cmp.cap)
 
 
+def _lyndon_words(rank):
+    # The words of length 3 over the places strictly below their proper rotations.
+    return [m for m in product(range(rank), repeat=3) if m < m[1:] + m[:1] and m < m[2:] + m[:2]]
+
+
+@pytest.mark.parametrize("rank, top", [(2, 6), (3, 4)])
+def test_lyndon_key_holds_the_lyndon_coefficients_of_degree_3(rank, top):
+    # In lexicographic order over the places, under every precedence.
+    words = [w for n in range(0, top + 1) for w in all_reduced(rank, n)]
+    images = {w: oracle.mu(w, 3) for w in words}
+    for precedence in permutations(range(1, rank + 1)):
+        order = MagnusOrder(rank, precedence)
+        monomials = [tuple(precedence[p] for p in m) for m in _lyndon_words(rank)]
+        for w in words:
+            want = tuple(images[w].coefficient(m) for m in monomials)
+            assert order._lyndon_key(w.letters) == want, (str(w), precedence)
+
+
+def test_lyndon_trie_is_prefix_closed_and_counts_lyndon_words_by_witt():
+    for r in range(1, 6):
+        nodes, steps, top = _lyndon_trie(r)
+        assert len(set(nodes)) == len(nodes) and set(m[:-1] for m in nodes if m) <= set(nodes)
+        assert nodes[top:] == _lyndon_words(r) and all(len(m) < 3 for m in nodes[:top])
+        assert len(nodes[top:]) == (r**3 - r) // 3
+        # Each node but the root is one letter's step from its parent, deepest first.
+        pairs = [(nodes[i], nodes[j] + (x,)) for x, row in enumerate(steps) for i, j in row]
+        assert all(child == grown for child, grown in pairs)
+        assert sorted(child for child, _ in pairs) == sorted(nodes[1:])
+        for row in steps:
+            depths = [len(nodes[i]) for i, _ in row]
+            assert depths == sorted(depths, reverse=True)
+
+
 def test_undecided_at_cap_is_loud():
     # The commutator's image is 1 + O(2), so a cap of 1 cannot separate it from 1.
     with pytest.raises(UndecidedAtCapError):
@@ -412,12 +445,15 @@ def test_commutators_decide_at_their_weight(precedence, monkeypatch):
 
 def test_a_verdict_streams_the_one_word_lw_inverse_lv(monkeypatch):
     # mu(v) - mu(w) = mu(w)(mu(w^-1 v) - 1), so one image decides: that of the
-    # stripped sides' lw^-1 * lv, reduced as written.
-    v, w = P("aBAb"), P("AbaB")
+    # stripped sides' lw^-1 * lv, reduced as written. Pairs tied through degree 3
+    # reach the kernel: AABBAba and abABBAA, and c_4 = [[[a, b], b], b] against 1.
+    v, w = P("AABBAba"), P("abABBAA")
     c3 = concat(P("abAB"), P("b"), P("baBA"), P("B"))  # [[a, b], b]
     assert str(c3) == "abAbaBAB"
-    expected = compare_series(oracle.mu(v, 8), oracle.mu(w, 8))
-    expected_sign = compare_series(oracle.mu(c3, 3), oracle.mu(identity(2), 3))
+    c4 = concat(c3, P("b"), inverse(c3), P("B"))
+    assert str(c4) == "abAbaBAbabABaBAB"
+    expected = compare_series(oracle.mu(v, 14), oracle.mu(w, 14))
+    expected_sign = compare_series(oracle.mu(c4, 4), oracle.mu(identity(2), 4))
     streamed = []
 
     def logged(letters, place):
@@ -427,10 +463,10 @@ def test_a_verdict_streams_the_one_word_lw_inverse_lv(monkeypatch):
     monkeypatch.setattr("orderword.series._degrees", logged)
     order = MagnusOrder(2)
     assert order.compare(v, w) is expected
-    assert streamed == [P("bABaaBAb").letters]
+    assert streamed == [P("aabbaBAAABBAba").letters]
     streamed.clear()
-    assert order.sign(c3) == (1 if expected_sign is Ordering.GREATER else -1)
-    assert streamed == [c3.letters]
+    assert order.sign(c4) == (1 if expected_sign is Ordering.GREATER else -1)
+    assert streamed == [c4.letters]
 
 
 def test_order_matches_reference_series():
