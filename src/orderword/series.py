@@ -307,12 +307,13 @@ class MagnusOrder:
 
         Each word's low degrees decide first, from the memo keyed by the words, whose
         hash each caches: one int, K * R^(r^2) + Q of the word (see _prefix_keys), whose
-        order is the order through degree 2 (degree 1 under a cap of 1). Where the cap
-        admits degree 3, a tie there is decided by a second memo, the words' Lyndon
-        coefficients of degree 3 (see _lyndon_key). The order is invariant under
-        multiplication on both sides, so words tied through the memos tie on their
-        stripped sides too: common ends cancel, and the kernel's verdict on the
-        stripped pair is memoised, a lone side put first.
+        order is the order through degree 2 (degree 1 under a cap of 1); equal words
+        are EQUAL there. Where the cap admits degree 3, a tie of distinct words is
+        decided by a second memo, the words' Lyndon coefficients of degree 3 (see
+        _lyndon_key). The order is invariant under multiplication on both sides, so
+        words tied through the memos tie on their stripped sides too: common ends
+        cancel, and the kernel's verdict on the stripped pair is memoised, a lone side
+        put first.
         """
         if v.rank != w.rank:
             raise ValueError("cannot compare words of different ranks")
@@ -326,6 +327,8 @@ class MagnusOrder:
             a, b = low[v], low[w]
         if a != b:
             return _ORDERINGS[1 if a > b else -1]
+        if v.letters == w.letters:
+            return Ordering.EQUAL
         if self.cap is None or self.cap > 2:
             lyndon = self._lyndon
             a, b = lyndon.get(v), lyndon.get(w)
@@ -422,7 +425,7 @@ class MagnusOrder:
     def _cyclic_signs(self, w: Word) -> CyclicSigns:
         """The sign table of w, kept until a table of another word is asked for."""
         table = self._table
-        if table is None or table.word != w:
+        if table is None or table.word is not w and table.word != w:
             table = self._table = CyclicSigns(w, self)
         return table
 

@@ -33,6 +33,7 @@ from .series import UndecidedAtCapError
 from .words import (
     Letter,
     Word,
+    _shared_pair,
     _sorted_rotations,
     is_monotonic,
     is_periodic,
@@ -120,7 +121,7 @@ def enumerate_cyclically_reduced(rank: int, length: int, dedup: str = "none") ->
         raise ValueError("rank and length must be positive")
     # Letter code c = 2 * (generator - 1) + (sign < 0) follows _letters_key,
     # and c ^ 1 is the inverse letter.
-    alphabet = [Letter(g, s) for g in range(1, rank + 1) for s in (1, -1)]
+    alphabet = [letter for g in range(1, rank + 1) for letter in _shared_pair(g)]
     if dedup == "rotation_class":
         for codes in _rotation_class_codes(2 * rank, length):
             yield Word(tuple(alphabet[c] for c in codes), rank)

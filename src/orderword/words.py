@@ -2,7 +2,8 @@
 
 Words are immutable tuples of signed letters over a fixed alphabet rank.
 Lowercase text letters are generators (a is generator 1), uppercase their
-inverses, and the empty word is the group identity.
+inverses, and the empty word is the group identity. A word holds one shared
+``Letter`` per signed generator, so each of its letters costs a pointer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class NotCyclicallyReducedError(ValueError):
 
 
 class Letter(NamedTuple):
-    """A signed generator: 1-based generator index and sign +1 or -1."""
+    """A signed generator: 1-based generator index and sign +1 or -1; words share one per value."""
 
     generator: int
     sign: int
@@ -69,7 +70,11 @@ class Word(_Record):
     """A freely reduced word of a given alphabet rank.
 
     Instances are only ever reduced; build unreduced letter sequences with
-    :func:`reduce`. Slicing yields sub-Words of the same rank.
+    :func:`reduce`. Slicing yields sub-Words of the same rank. Whatever letters
+    it is given, a word holds the shared ``Letter`` of each signed generator:
+
+    >>> Word((Letter(1, 1),), 2).letters[0] is parse_word("a", 2).letters[0]
+    True
     """
 
     __slots__ = ("letters", "rank", "_hash")
@@ -81,20 +86,31 @@ class Word(_Record):
         object.__setattr__(self, "_hash", hash((self.letters, rank)))
 
     def __post_init__(self) -> None:
-        """Refuse a bad rank, letter or inverse pair; ``__init__`` calls this once."""
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-        prev: Letter | None = None
+        """Refuse a bad rank, letter or inverse pair; ``__init__`` calls this once.
+
+        Each letter becomes the shared ``Letter`` of its value (a tuple of them is kept),
+        so an inverse pair is found by identity.
+        """
+        rank = self.rank
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        get, prev, fresh = _SHARED.get, None, False
         for letter in self.letters:
-            if not 1 <= letter.generator <= self.rank:
-                raise ValueError(
-                    f"letter generator {letter.generator} outside rank {self.rank}"
-                )
-            if letter.sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
-            if prev is not None and prev.generator == letter.generator and prev.sign != letter.sign:
+            if not 1 <= letter.generator <= rank:
+                raise ValueError(f"letter generator {letter.generator} outside rank {rank}")
+            pair = get(letter)
+            if pair is None:
+                if letter.sign not in (1, -1):
+                    raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
+                _shared_pair(letter.generator)
+                pair = _SHARED[letter]
+            if pair[1] is prev:
                 raise ValueError("word is not freely reduced; use reduce()")
-            prev = letter
+            prev = pair[0]
+            if prev is not letter:
+                fresh = True
+        if fresh:
+            object.__setattr__(self, "letters", tuple([get(l)[0] for l in self.letters]))
 
     def __hash__(self) -> int:
         """``hash((letters, rank))``, computed once by ``__init__``.
@@ -133,12 +149,22 @@ class Word(_Record):
         return self.letters[0] != self.letters[-1].inverse()
 
 
-_TEXT_LETTERS = {  # each text letter's Letter and its inverse; A..Z are the inverses of a..z
-    chr(base + g): (Letter(g + 1, sign), Letter(g + 1, -sign))
+_SHARED: dict[Letter, tuple[Letter, Letter]] = {}  # any equal letter: (shared letter, its inverse)
+
+
+def _shared_pair(generator: int) -> tuple[Letter, Letter]:
+    """The shared x_g and x_g^-1, entered by ``setdefault`` so racing threads share one pair."""
+    pos, neg = Letter(generator, 1), Letter(generator, -1)
+    pair = _SHARED.setdefault(pos, (pos, neg))
+    _SHARED.setdefault(pair[1], pair[::-1])
+    return pair
+
+
+_TEXT_LETTERS = {  # each text letter's shared Letter and its inverse; A..Z are the inverses of a..z
+    chr(base + g): _shared_pair(g + 1)[::sign]
     for base, sign in ((ord("a"), 1), (ord("A"), -1)) for g in range(_MAX_TEXT_GENERATORS)
 }
 _LETTER_TEXT = {letter: ch for ch, (letter, _) in _TEXT_LETTERS.items()}
-_INVERSE = dict(_TEXT_LETTERS.values())  # a letter's inverse, for generators with text names
 
 
 class Rotation(NamedTuple):
@@ -194,7 +220,7 @@ def reduce(letters: Iterable[Letter], rank: int) -> Word:
     """
     out: list[Letter] = []
     for letter in letters:
-        if out and out[-1] == Letter(letter.generator, -letter.sign):
+        if out and out[-1] == letter.inverse():
             out.pop()
         else:
             out.append(letter)
@@ -216,7 +242,7 @@ def concat(*words: Word) -> Word:
 
 def inverse(w: Word) -> Word:
     """The group inverse: letters reversed with signs flipped."""
-    return Word(tuple(l.inverse() for l in reversed(w.letters)), w.rank)
+    return Word(tuple([_SHARED[l][1] for l in reversed(w.letters)]), w.rank)
 
 
 def rotation_set(w: Word) -> tuple[Rotation, ...]:
@@ -241,7 +267,7 @@ def _rotation_text(w: Word) -> tuple[Letter, ...]:
     """W·W·W^-1·W^-1: row r of the rotation set is its n letters from r + r // n * n."""
     if not w.is_cyclically_reduced:
         raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
-    inv = tuple([_INVERSE.get(l) or l.inverse() for l in reversed(w.letters)])
+    inv = tuple([_SHARED[l][1] for l in reversed(w.letters)])
     return w.letters * 2 + inv * 2
 
 

@@ -682,6 +682,30 @@ def test_the_degree_three_key_waits_for_a_cap_of_three():
     assert cmp.calls == [] and list(cmp._lyndon) == [c3, identity(2)]
 
 
+def _outcome(order, v, w):
+    try:
+        return order.compare(v, w)
+    except UndecidedAtCapError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2, 3])
+def test_equal_words_skip_the_degree_three_memo(cap):
+    # A word tied with itself through degree 2 is EQUAL there, before its degree-3
+    # key is computed or memoised, under every cap; distinct pairs keep the
+    # verdicts of an order that never compared a word with itself.
+    words = [w for n in range(5) for w in all_reduced(2, n)]
+    assert len(words) == 161
+    cmp = KernelLog(2, cap=cap)
+    assert all(cmp.compare(w, w) is Ordering.EQUAL for w in words)
+    assert all(cmp.compare(w, Word(list(w.letters), 2)) is Ordering.EQUAL for w in words)
+    assert cmp._lyndon == {} and cmp.calls == []
+    fresh = MagnusOrder(2, cap=cap)
+    for v, w in itertools.permutations(words, 2):
+        outcome = _outcome(cmp, v, w)
+        assert outcome is not Ordering.EQUAL and outcome == _outcome(fresh, v, w)
+
+
 class LowLog(MagnusOrder):
     """A Magnus order that records every letter row whose prefix keys it computes."""
 

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import ast
+import pickle
 import random
+import re
+import sys
+import threading
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import orderword.words
 from orderword import (
     FROM_INVERSE,
     FROM_WORD,
@@ -25,8 +34,13 @@ from orderword import (
     uniquely_positioned,
     word_to_text,
 )
+from orderword.series import CyclicSigns, MagnusOrder
+from orderword.verify import enumerate_cyclically_reduced
+from orderword.words import _SHARED, _shared_pair
 from check_word_oracle import _intervals_overlap
-from wordgen import all_reduced, random_reduced
+from wordgen import all_reduced, random_cyclically_reduced, random_reduced
+
+ROOT = Path(__file__).resolve().parent.parent
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
 
@@ -151,6 +165,206 @@ def test_is_cyclically_reduced():
     assert P("aa").is_cyclically_reduced
     assert not P("abA").is_cyclically_reduced
     assert identity(2).is_cyclically_reduced
+
+
+# ---------------------------------------------------------------- shared letters
+
+def _shared(w):
+    # Every letter of w is the table's one Letter of its value.
+    return all(letter is _SHARED[letter][0] for letter in w.letters)
+
+
+@pytest.mark.parametrize("rank", [2, 26, 27])
+def test_every_construction_path_holds_the_shared_letters(rank):
+    # At rank 27 the top generator has no text letter, so only the table names it.
+    a, b, x = Letter(1, 1), Letter(2, 1), Letter(rank, 1)
+    fresh = (a, x, Letter(rank, 1), b, Letter(1, 1), x.inverse())
+    w = Word(fresh, rank)
+    assert w.letters == fresh and w.letters is not fresh and _shared(w)
+    assert w == Word(list(fresh), rank) and hash(w) == hash((fresh, rank))
+    assert Word(w.letters, rank).letters is w.letters  # a tuple of shared letters is kept
+    text = "aBAb" + ("zZz" if rank >= 26 else "")
+    order = MagnusOrder(rank)
+    words = [
+        w,
+        parse_word(text, rank),
+        *(u for dedup in ("none", "rotation_class") for u in enumerate_cyclically_reduced(rank, 2, dedup)),
+        w[1:4],
+        w[::-1],
+        inverse(w),
+        reduce((*fresh, *inverse(w).letters[:3], b.inverse()), rank),
+        concat(w, Word((b, x), rank), inverse(w)),
+        *(e.word for e in rotation_set(w)),
+        *(CyclicSigns(w, order).element(r).word for r in range(2 * len(w))),
+        pickle.loads(pickle.dumps(w)),
+    ]
+    assert all(_shared(u) for u in words)
+    assert pickle.loads(pickle.dumps(w)) == w and str(pickle.loads(pickle.dumps(w))) == str(w)
+
+
+@pytest.mark.parametrize(
+    "letters, rank, error, message",
+    [
+        ((), 0, ValueError, "rank must be positive, got 0"),
+        ((Letter(0, 1),), 2, ValueError, "letter generator 0 outside rank 2"),
+        ((Letter(1, 1), Letter(3, 1)), 2, ValueError, "letter generator 3 outside rank 2"),
+        ((Letter(1, 2),), 2, ValueError, "letter sign must be +1 or -1, got 2"),
+        (((1, 1),), 2, AttributeError, "'tuple' object has no attribute 'generator'"),
+        ((Letter(2, 1), Letter(1, 1), Letter(1, -1)), 2, ValueError, "word is not freely reduced; use reduce()"),
+        ((Letter(1, 1), Letter(1, -1), Letter(3, 1)), 2, ValueError, "word is not freely reduced; use reduce()"),
+        ((Letter(3, 1), Letter(1, 1), Letter(1, -1)), 2, ValueError, "letter generator 3 outside rank 2"),
+        ((Letter(27, -1), Letter(27, 1)), 27, ValueError, "word is not freely reduced; use reduce()"),
+        ((Letter(10**9, 2),), 10**9, ValueError, "letter sign must be +1 or -1, got 2"),
+    ],
+    ids=["rank-0", "generator-0", "generator-3", "sign-2", "plain-tuple", "unreduced-2",
+         "unreduced-before-generator", "generator-before-unreduced", "unreduced-27", "unseen-sign-2"],
+)
+def test_word_refusals_are_unchanged(letters, rank, error, message):
+    # The first bad letter is refused, with the same type and message, whether or
+    # not the table already holds its value; a refused letter enters no table entry.
+    Word((Letter(3, 1), Letter(27, 1)), 27)  # generators 3 and 27 are in the table
+    before = dict(_SHARED)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Word(letters, rank)
+    assert _SHARED == before
+
+
+def test_a_huge_rank_word_enters_one_pair():
+    # The table fills per generator seen, never per rank.
+    g = 10**9 + 7
+    before = len(_SHARED)
+    w = Word((Letter(g, 1),), g)
+    assert len(_SHARED) == before + 2 and _shared(w) and _shared(inverse(w))
+    assert _SHARED[Letter(g, 1)][1] is inverse(w).letters[0] and str(w) == f"<{g}>"
+
+
+def test_a_generator_entered_twice_keeps_its_first_pair():
+    # A thread that loses the race to enter a generator takes the winner's pair,
+    # even when the winner has published x_g and not yet x_g^-1.
+    g = 3 * 10**9
+    pair = _shared_pair(g)
+    assert all(a is b for a, b in zip(_shared_pair(g), pair))
+    winner = (Letter(g + 1, 1), Letter(g + 1, -1))
+    _SHARED[winner[0]] = winner
+    loser = _shared_pair(g + 1)
+    assert loser[0] is winner[0] and loser[1] is winner[1]
+    assert _SHARED[Letter(g + 1, -1)][0] is winner[1] and _SHARED[winner[1]][1] is winner[0]
+
+
+def test_threads_that_see_a_generator_at_once_share_one_pair(monkeypatch):
+    # The threads meet at a barrier before each unseen generator, and the table
+    # yields the interpreter lock before every read and write, so they interleave
+    # between the letters of a word and within the entry of a pair. Each first
+    # sight is an inverse pair, refused only if its letters share one pair.
+    def yielding(name):
+        def method(self, *args):
+            time.sleep(0)
+            return getattr(dict, name)(self, *args)
+        return method
+
+    class YieldingTable(dict):
+        get, setdefault = yielding("get"), yielding("setdefault")
+        __getitem__, __setitem__ = yielding("__getitem__"), yielding("__setitem__")
+
+    table = YieldingTable(_SHARED)
+    monkeypatch.setattr(orderword.words, "_SHARED", table)
+    generators = range(2 * 10**9, 2 * 10**9 + 200)
+    accepted, errors, interval = [], [], sys.getswitchinterval()
+    barrier = threading.Barrier(4, timeout=30)
+
+    def enter(k):
+        try:
+            for g in generators:
+                s = 1 if k % 2 else -1
+                barrier.wait()
+                try:
+                    accepted.append(Word((Letter(g, s), Letter(g, -s)), generators[-1]))
+                except ValueError:
+                    pass
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == [] and accepted == []
+    for g in generators:
+        pos, neg = table[Letter(g, 1)]
+        first, second = table[Letter(g, -1)]
+        assert first is neg and second is pos
+
+
+def test_a_long_word_holds_a_pointer_per_letter():
+    # Once the sampler's own letters are gone, the word holds its tuple of pointers
+    # to shared letters: about 0.8 MB, where a Letter per position held 7.2 MB.
+    tracemalloc.start()
+    try:
+        w = random_cyclically_reduced(random.Random(5), 100_000, 2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(w) == 100_000 and _shared(w)
+    assert held < 1.5e6
+
+
+def _unshared_letter_calls(paths: list[Path]) -> list[str]:
+    """The ``Letter(...)`` calls in ``paths`` outside the table's filler and ``Letter.inverse``.
+
+    A word takes the shared letters of the table; letters built anywhere else make
+    every word built from them allocate a tuple of its own.
+    """
+    allowed = {"_shared_pair", "Letter.inverse"}
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            scopes += [(m, f"{cls.name}.{m.name}") for m in cls.body if isinstance(m, ast.FunctionDef)]
+        scope_of = {id(n): name for node, name in scopes for n in ast.walk(node)}
+        calls = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Letter"
+        ]
+        found += [
+            f"{path.name}:{node.lineno}: {scope_of.get(id(node), '<module>')}"
+            for node in sorted(calls, key=lambda node: node.lineno)
+            if scope_of.get(id(node)) not in allowed
+        ]
+    return found
+
+
+def test_only_the_table_builds_library_letters():
+    assert _unshared_letter_calls(sorted((ROOT / "src" / "orderword").glob("*.py"))) == []
+
+
+def test_guard_sees_an_unshared_letter_call(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "ALPHABET = [Letter(1, 1)]\n"
+        "def _shared_pair(g):\n"
+        "    return Letter(g, 1), Letter(g, -1)\n"
+        "class Letter:\n"
+        "    def inverse(self):\n"
+        "        return Letter(self.generator, -self.sign)\n"
+        "class Word:\n"
+        "    def mirror(self):\n"
+        "        return Word([Letter(l.generator, 1) for l in self], 2)\n"
+        "def alphabet(rank):\n"
+        "    return [Letter(g, s) for g in range(rank) for s in (1, -1)]\n",
+        encoding="utf-8",
+    )
+    assert _unshared_letter_calls([sample]) == [
+        "sample.py:1: <module>",
+        "sample.py:9: Word.mirror",
+        "sample.py:11: alphabet",
+    ]
 
 
 # ---------------------------------------------------------------- reduce / concat / inverse
