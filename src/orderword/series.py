@@ -259,13 +259,6 @@ def _lyndon_trie(r: int) -> tuple[list[Monomial], list[list[tuple[int, int]]], i
     return nodes, steps, top
 
 
-@cache
-def _place_values(place: tuple[int, ...], r: int, lifted: bool) -> tuple[tuple[int, ...], ...]:
-    """At place p, the shift of the key weight R^(r - 1 - p) and the lift R^(r(r - 1 - p)), or 0."""
-    shifts = tuple(_BITS * (r - 1 - p) for p in place)
-    return shifts, tuple(1 << r * s if lifted else 0 for s in shifts)
-
-
 class MagnusOrder:
     """The series-induced bi-order, with per-instance caching.
 
@@ -292,6 +285,10 @@ class MagnusOrder:
         if cap is not None and cap < 1:
             raise ValueError("cap must be positive")
         self.cap = cap
+        # For generator g at place p: the shift of the key weight R^(r - 1 - p), and the
+        # lift R^(r(r - 1 - p)), 0 under a cap of 1.
+        self._shift = tuple(_BITS * (rank - 1 - p) for p in self._place)
+        self._lift = tuple(1 << rank * s if cap != 1 else 0 for s in self._shift)
         self._verdicts: dict[tuple[tuple[Letter, ...], tuple[Letter, ...]], int] = {}
         self._low: dict[Word, int] = {}
         self._lyndon: dict[Word, tuple[int, ...]] = {}
@@ -409,7 +406,7 @@ class MagnusOrder:
         """
         if len(letters) >> 32:
             raise ValueError(f"{len(letters)} letters exceed the key bound of 2**32 - 1")
-        shift, lift = _place_values(self._place, self.rank, self.cap != 1)
+        shift, lift = self._shift, self._lift
         k, a, q, keys, sums, pairs = 0, 0, 0, [0], [0], [0]
         for generator, sign in letters:
             if generator > self.rank:

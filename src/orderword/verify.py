@@ -33,7 +33,6 @@ from .series import UndecidedAtCapError
 from .words import (
     Letter,
     Word,
-    _shared_pair,
     _sorted_rotations,
     is_monotonic,
     is_periodic,
@@ -121,7 +120,7 @@ def enumerate_cyclically_reduced(rank: int, length: int, dedup: str = "none") ->
         raise ValueError("rank and length must be positive")
     # Letter code c = 2 * (generator - 1) + (sign < 0) follows _letters_key,
     # and c ^ 1 is the inverse letter.
-    alphabet = [letter for g in range(1, rank + 1) for letter in _shared_pair(g)]
+    alphabet = [Letter(g, s) for g in range(1, rank + 1) for s in (1, -1)]
     if dedup == "rotation_class":
         for codes in _rotation_class_codes(2 * rank, length):
             yield Word(tuple(alphabet[c] for c in codes), rank)

@@ -2,8 +2,8 @@
 
 Words are immutable tuples of signed letters over a fixed alphabet rank.
 Lowercase text letters are generators (a is generator 1), uppercase their
-inverses, and the empty word is the group identity. A word holds one shared
-``Letter`` per signed generator, so each of its letters costs a pointer.
+inverses, and the empty word is the group identity. There is one ``Letter``
+object per value, so each letter of a word costs a pointer.
 """
 
 from __future__ import annotations
@@ -22,14 +22,43 @@ class NotCyclicallyReducedError(ValueError):
     """An operation that needs a cyclically reduced word got one that is not."""
 
 
-class Letter(NamedTuple):
-    """A signed generator: 1-based generator index and sign +1 or -1; words share one per value."""
+class Letter(NamedTuple("Letter", [("generator", int), ("sign", int)])):
+    """A signed generator: 1-based generator index and sign +1 or -1.
 
-    generator: int
-    sign: int
+    Every way of making a letter, ``_replace``, copying and unpickling included,
+    returns the one object of its value:
+
+    >>> Letter(1, -1) is Letter(generator=1, sign=1).inverse() is Letter(1, 1)._replace(sign=-1)
+    True
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, generator: int, sign: int) -> Letter:
+        key = (generator, sign)
+        return _LETTERS.get(key) or _LETTERS.setdefault(key, tuple.__new__(cls, key))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> Letter:
+        """The letter of a (generator, sign) sequence; ``_replace``, copies and pickles use it."""
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return self._make, (tuple(self),)
 
     def inverse(self) -> Letter:
-        return Letter(self.generator, -self.sign)
+        return _INVERSE[self]
+
+
+class _Inverses(dict):
+    """Each letter's inverse, entered the first time it is asked for."""
+
+    def __missing__(self, letter: Letter) -> Letter:
+        return self.setdefault(letter, Letter(letter.generator, -letter.sign))
+
+
+_LETTERS: dict[tuple[int, int], Letter] = {}  # each value's one Letter, entered by setdefault
+_INVERSE = _Inverses()  # read per letter where a whole word is inverted
 
 
 class _Record:
@@ -70,11 +99,7 @@ class Word(_Record):
     """A freely reduced word of a given alphabet rank.
 
     Instances are only ever reduced; build unreduced letter sequences with
-    :func:`reduce`. Slicing yields sub-Words of the same rank. Whatever letters
-    it is given, a word holds the shared ``Letter`` of each signed generator:
-
-    >>> Word((Letter(1, 1),), 2).letters[0] is parse_word("a", 2).letters[0]
-    True
+    :func:`reduce`. Slicing yields sub-Words of the same rank.
     """
 
     __slots__ = ("letters", "rank", "_hash")
@@ -86,31 +111,20 @@ class Word(_Record):
         object.__setattr__(self, "_hash", hash((self.letters, rank)))
 
     def __post_init__(self) -> None:
-        """Refuse a bad rank, letter or inverse pair; ``__init__`` calls this once.
-
-        Each letter becomes the shared ``Letter`` of its value (a tuple of them is kept),
-        so an inverse pair is found by identity.
-        """
+        """Refuse a bad rank, then the first bad letter or inverse pair; ``__init__`` calls this once."""
         rank = self.rank
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
-        get, prev, fresh = _SHARED.get, None, False
+        prev_g = prev_s = 0
         for letter in self.letters:
-            if not 1 <= letter.generator <= rank:
-                raise ValueError(f"letter generator {letter.generator} outside rank {rank}")
-            pair = get(letter)
-            if pair is None:
-                if letter.sign not in (1, -1):
-                    raise ValueError(f"letter sign must be +1 or -1, got {letter.sign}")
-                _shared_pair(letter.generator)
-                pair = _SHARED[letter]
-            if pair[1] is prev:
+            g, s = letter.generator, letter.sign
+            if not 1 <= g <= rank:
+                raise ValueError(f"letter generator {g} outside rank {rank}")
+            if s != 1 and s != -1:
+                raise ValueError(f"letter sign must be +1 or -1, got {s}")
+            if prev_g == g and prev_s != s:
                 raise ValueError("word is not freely reduced; use reduce()")
-            prev = pair[0]
-            if prev is not letter:
-                fresh = True
-        if fresh:
-            object.__setattr__(self, "letters", tuple([get(l)[0] for l in self.letters]))
+            prev_g, prev_s = g, s
 
     def __hash__(self) -> int:
         """``hash((letters, rank))``, computed once by ``__init__``.
@@ -149,19 +163,8 @@ class Word(_Record):
         return self.letters[0] != self.letters[-1].inverse()
 
 
-_SHARED: dict[Letter, tuple[Letter, Letter]] = {}  # any equal letter: (shared letter, its inverse)
-
-
-def _shared_pair(generator: int) -> tuple[Letter, Letter]:
-    """The shared x_g and x_g^-1, entered by ``setdefault`` so racing threads share one pair."""
-    pos, neg = Letter(generator, 1), Letter(generator, -1)
-    pair = _SHARED.setdefault(pos, (pos, neg))
-    _SHARED.setdefault(pair[1], pair[::-1])
-    return pair
-
-
-_TEXT_LETTERS = {  # each text letter's shared Letter and its inverse; A..Z are the inverses of a..z
-    chr(base + g): _shared_pair(g + 1)[::sign]
+_TEXT_LETTERS = {  # each text letter's Letter and its inverse; A..Z are the inverses of a..z
+    chr(base + g): (Letter(g + 1, sign), Letter(g + 1, sign).inverse())
     for base, sign in ((ord("a"), 1), (ord("A"), -1)) for g in range(_MAX_TEXT_GENERATORS)
 }
 _LETTER_TEXT = {letter: ch for ch, (letter, _) in _TEXT_LETTERS.items()}
@@ -242,7 +245,7 @@ def concat(*words: Word) -> Word:
 
 def inverse(w: Word) -> Word:
     """The group inverse: letters reversed with signs flipped."""
-    return Word(tuple([_SHARED[l][1] for l in reversed(w.letters)]), w.rank)
+    return Word(tuple([_INVERSE[l] for l in reversed(w.letters)]), w.rank)
 
 
 def rotation_set(w: Word) -> tuple[Rotation, ...]:
@@ -267,7 +270,7 @@ def _rotation_text(w: Word) -> tuple[Letter, ...]:
     """W·W·W^-1·W^-1: row r of the rotation set is its n letters from r + r // n * n."""
     if not w.is_cyclically_reduced:
         raise NotCyclicallyReducedError(f"{w!r} is not cyclically reduced")
-    inv = tuple([_SHARED[l][1] for l in reversed(w.letters)])
+    inv = tuple([_INVERSE[l] for l in reversed(w.letters)])
     return w.letters * 2 + inv * 2
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import ast
+import copy
 import pickle
 import random
 import re
@@ -10,7 +10,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -36,11 +35,9 @@ from orderword import (
 )
 from orderword.series import CyclicSigns, MagnusOrder
 from orderword.verify import enumerate_cyclically_reduced
-from orderword.words import _SHARED, _shared_pair
+from orderword.words import _LETTERS
 from check_word_oracle import _intervals_overlap
 from wordgen import all_reduced, random_cyclically_reduced, random_reduced
-
-ROOT = Path(__file__).resolve().parent.parent
 
 P = lambda text, rank=2: parse_word(text, rank)  # noqa: E731
 
@@ -167,22 +164,35 @@ def test_is_cyclically_reduced():
     assert identity(2).is_cyclically_reduced
 
 
-# ---------------------------------------------------------------- shared letters
+# ---------------------------------------------------------------- one letter per value
 
 def _shared(w):
-    # Every letter of w is the table's one Letter of its value.
-    return all(letter is _SHARED[letter][0] for letter in w.letters)
+    # Every letter of w is the one Letter of its value.
+    return all(letter is Letter(letter.generator, letter.sign) for letter in w.letters)
 
 
 @pytest.mark.parametrize("rank", [2, 26, 27])
 def test_every_construction_path_holds_the_shared_letters(rank):
-    # At rank 27 the top generator has no text letter, so only the table names it.
-    a, b, x = Letter(1, 1), Letter(2, 1), Letter(rank, 1)
-    fresh = (a, x, Letter(rank, 1), b, Letter(1, 1), x.inverse())
+    # At rank 27 the top generator has no text letter, so only Letter names it.
+    x, y = Letter(rank, 1), Letter(rank, -1)
+    made = [
+        Letter(rank, -1),
+        Letter(generator=rank, sign=-1),
+        Letter._make((rank, -1)),
+        Letter._make(iter([rank, -1])),
+        x._replace(sign=-1),
+        x.inverse(),
+        y.inverse().inverse(),
+        copy.copy(y),
+        copy.deepcopy(y),
+        *(pickle.loads(pickle.dumps(y, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    assert all(letter is y for letter in made)
+    assert repr(y) == f"Letter(generator={rank}, sign=-1)" and y == (rank, -1) and hash(y) == hash((rank, -1))
+    a, b = Letter(1, 1), Letter(2, 1)
+    fresh = (a, x, Letter(rank, 1), b, Letter(1, 1), y)
     w = Word(fresh, rank)
-    assert w.letters == fresh and w.letters is not fresh and _shared(w)
-    assert w == Word(list(fresh), rank) and hash(w) == hash((fresh, rank))
-    assert Word(w.letters, rank).letters is w.letters  # a tuple of shared letters is kept
+    assert w.letters is fresh and w == Word(list(fresh), rank) and hash(w) == hash((fresh, rank))
     text = "aBAb" + ("zZz" if rank >= 26 else "")
     order = MagnusOrder(rank)
     words = [
@@ -197,9 +207,22 @@ def test_every_construction_path_holds_the_shared_letters(rank):
         *(e.word for e in rotation_set(w)),
         *(CyclicSigns(w, order).element(r).word for r in range(2 * len(w))),
         pickle.loads(pickle.dumps(w)),
+        copy.deepcopy(w),
+        random_reduced(random.Random(rank), 40, rank),
+        random_cyclically_reduced(random.Random(rank), 40, rank),
+        *all_reduced(rank, 2),
     ]
     assert all(_shared(u) for u in words)
     assert pickle.loads(pickle.dumps(w)) == w and str(pickle.loads(pickle.dumps(w))) == str(w)
+
+
+def test_word_keeps_a_look_alike_letter_by_value():
+    # A letter-shaped tuple that bypasses Letter is refused or accepted by value alone.
+    rogue = tuple.__new__(Letter, (1, -1))
+    assert rogue == Letter(1, -1) and rogue is not Letter(1, -1)
+    with pytest.raises(ValueError, match=r"^word is not freely reduced; use reduce\(\)$"):
+        Word((Letter(1, 1), rogue), 2)
+    assert str(Word((Letter(2, 1), rogue), 2)) == "bA"
 
 
 @pytest.mark.parametrize(
@@ -220,56 +243,58 @@ def test_every_construction_path_holds_the_shared_letters(rank):
          "unreduced-before-generator", "generator-before-unreduced", "unreduced-27", "unseen-sign-2"],
 )
 def test_word_refusals_are_unchanged(letters, rank, error, message):
-    # The first bad letter is refused, with the same type and message, whether or
-    # not the table already holds its value; a refused letter enters no table entry.
-    Word((Letter(3, 1), Letter(27, 1)), 27)  # generators 3 and 27 are in the table
-    before = dict(_SHARED)
+    # The first bad letter is refused, with the same type and message.
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         Word(letters, rank)
-    assert _SHARED == before
 
 
 def test_a_huge_rank_word_enters_one_pair():
-    # The table fills per generator seen, never per rank.
+    # Letters are entered per value seen, never per rank.
     g = 10**9 + 7
-    before = len(_SHARED)
+    before = len(_LETTERS)
     w = Word((Letter(g, 1),), g)
-    assert len(_SHARED) == before + 2 and _shared(w) and _shared(inverse(w))
-    assert _SHARED[Letter(g, 1)][1] is inverse(w).letters[0] and str(w) == f"<{g}>"
+    assert len(_LETTERS) == before + 1 and _shared(w)
+    assert len(_LETTERS) == before + 1 and inverse(w).letters[0] is Letter(g, -1) and _shared(inverse(w))
+    assert len(_LETTERS) == before + 2 and str(w) == f"<{g}>"
 
 
-def test_a_generator_entered_twice_keeps_its_first_pair():
-    # A thread that loses the race to enter a generator takes the winner's pair,
-    # even when the winner has published x_g and not yet x_g^-1.
-    g = 3 * 10**9
-    pair = _shared_pair(g)
-    assert all(a is b for a, b in zip(_shared_pair(g), pair))
-    winner = (Letter(g + 1, 1), Letter(g + 1, -1))
-    _SHARED[winner[0]] = winner
-    loser = _shared_pair(g + 1)
-    assert loser[0] is winner[0] and loser[1] is winner[1]
-    assert _SHARED[Letter(g + 1, -1)][0] is winner[1] and _SHARED[winner[1]][1] is winner[0]
-
-
-def test_threads_that_see_a_generator_at_once_share_one_pair(monkeypatch):
-    # The threads meet at a barrier before each unseen generator, and the table
-    # yields the interpreter lock before every read and write, so they interleave
-    # between the letters of a word and within the entry of a pair. Each first
-    # sight is an inverse pair, refused only if its letters share one pair.
-    def yielding(name):
+class _YieldingTable(dict):
+    # Gives up the interpreter lock before every read and write, so that threads
+    # interleave inside Letter.__new__.
+    def _yielding(name):
         def method(self, *args):
             time.sleep(0)
             return getattr(dict, name)(self, *args)
         return method
 
-    class YieldingTable(dict):
-        get, setdefault = yielding("get"), yielding("setdefault")
-        __getitem__, __setitem__ = yielding("__getitem__"), yielding("__setitem__")
+    get, setdefault = _yielding("get"), _yielding("setdefault")
+    __getitem__, __setitem__ = _yielding("__getitem__"), _yielding("__setitem__")
 
-    table = YieldingTable(_SHARED)
-    monkeypatch.setattr(orderword.words, "_SHARED", table)
+
+def test_a_generator_entered_twice_keeps_its_first_pair(monkeypatch):
+    # A thread that read no letter for a value, and lost the race to enter it,
+    # takes the winner's letter.
+    class LateTable(_YieldingTable):
+        def get(self, key, default=None):
+            return default
+
+    g = 3 * 10**9
+    table = LateTable()
+    monkeypatch.setattr(orderword.words, "_LETTERS", table)
+    first = Letter(g, 1), Letter(g, -1)
+    assert [Letter(g, 1), Letter(generator=g, sign=-1)] == list(first)
+    assert Letter(g, 1) is first[0] and Letter(g, 1)._replace(sign=-1) is first[1]
+    assert dict(table) == {(g, 1): first[0], (g, -1): first[1]}
+
+
+def test_threads_that_see_a_generator_at_once_share_one_pair(monkeypatch):
+    # The threads meet at a barrier before each unseen generator and each make
+    # x_g and x_g^-1, half of them in the other order, through a table that yields
+    # between every read and write. Each value must come out as one object.
+    table = _YieldingTable(_LETTERS)
+    monkeypatch.setattr(orderword.words, "_LETTERS", table)
     generators = range(2 * 10**9, 2 * 10**9 + 200)
-    accepted, errors, interval = [], [], sys.getswitchinterval()
+    made, errors, interval = [[] for _ in range(4)], [], sys.getswitchinterval()
     barrier = threading.Barrier(4, timeout=30)
 
     def enter(k):
@@ -277,10 +302,7 @@ def test_threads_that_see_a_generator_at_once_share_one_pair(monkeypatch):
             for g in generators:
                 s = 1 if k % 2 else -1
                 barrier.wait()
-                try:
-                    accepted.append(Word((Letter(g, s), Letter(g, -s)), generators[-1]))
-                except ValueError:
-                    pass
+                made[k].append({s: Letter(g, s), -s: Letter(g, -s)})
         except Exception as exc:  # noqa: BLE001 - reported by the main thread
             errors.append(exc)
 
@@ -293,11 +315,10 @@ def test_threads_that_see_a_generator_at_once_share_one_pair(monkeypatch):
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and errors == [] and accepted == []
-    for g in generators:
-        pos, neg = table[Letter(g, 1)]
-        first, second = table[Letter(g, -1)]
-        assert first is neg and second is pos
+    assert not any(t.is_alive() for t in threads) and errors == []
+    for i, g in enumerate(generators):
+        for s in (1, -1):
+            assert all(made[k][i][s] is table[g, s] for k in range(4)), (g, s)
 
 
 def test_a_long_word_holds_a_pointer_per_letter():
@@ -311,60 +332,6 @@ def test_a_long_word_holds_a_pointer_per_letter():
         tracemalloc.stop()
     assert len(w) == 100_000 and _shared(w)
     assert held < 1.5e6
-
-
-def _unshared_letter_calls(paths: list[Path]) -> list[str]:
-    """The ``Letter(...)`` calls in ``paths`` outside the table's filler and ``Letter.inverse``.
-
-    A word takes the shared letters of the table; letters built anywhere else make
-    every word built from them allocate a tuple of its own.
-    """
-    allowed = {"_shared_pair", "Letter.inverse"}
-    found = []
-    for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        scopes = [(node, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
-        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
-            scopes += [(m, f"{cls.name}.{m.name}") for m in cls.body if isinstance(m, ast.FunctionDef)]
-        scope_of = {id(n): name for node, name in scopes for n in ast.walk(node)}
-        calls = [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Letter"
-        ]
-        found += [
-            f"{path.name}:{node.lineno}: {scope_of.get(id(node), '<module>')}"
-            for node in sorted(calls, key=lambda node: node.lineno)
-            if scope_of.get(id(node)) not in allowed
-        ]
-    return found
-
-
-def test_only_the_table_builds_library_letters():
-    assert _unshared_letter_calls(sorted((ROOT / "src" / "orderword").glob("*.py"))) == []
-
-
-def test_guard_sees_an_unshared_letter_call(tmp_path):
-    sample = tmp_path / "sample.py"
-    sample.write_text(
-        "ALPHABET = [Letter(1, 1)]\n"
-        "def _shared_pair(g):\n"
-        "    return Letter(g, 1), Letter(g, -1)\n"
-        "class Letter:\n"
-        "    def inverse(self):\n"
-        "        return Letter(self.generator, -self.sign)\n"
-        "class Word:\n"
-        "    def mirror(self):\n"
-        "        return Word([Letter(l.generator, 1) for l in self], 2)\n"
-        "def alphabet(rank):\n"
-        "    return [Letter(g, s) for g in range(rank) for s in (1, -1)]\n",
-        encoding="utf-8",
-    )
-    assert _unshared_letter_calls([sample]) == [
-        "sample.py:1: <module>",
-        "sample.py:9: Word.mirror",
-        "sample.py:11: alphabet",
-    ]
 
 
 # ---------------------------------------------------------------- reduce / concat / inverse
